@@ -31,8 +31,6 @@ from .spectral import (
     biased_autocovariance,
     coherency_matrix,
     dft_grid,
-    lag_window_derivative,
-    lag_window_estimate,
     renormalized_dft,
     smoothed_periodogram,
 )
@@ -81,7 +79,7 @@ __all__ = [
     "ModelSpec", "TimeSeriesPanel", "autocovariance", "simulate_panel",
     "spectral_density", "spectral_density_derivative",
     "SpectralMatrix", "biased_autocovariance", "coherency_matrix", "dft_grid",
-    "lag_window_derivative", "lag_window_estimate", "renormalized_dft", "smoothed_periodogram",
+    "renormalized_dft", "smoothed_periodogram",
     "MPModel", "SpectralFunction", "distribution_action", "mp_density", "mp_integral",
     "mp_stieltjes", "mp_stieltjes_tilde", "p_stieltjes", "p_tilde_stieltjes",
     "spectral_function",

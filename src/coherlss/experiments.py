@@ -16,10 +16,11 @@ config + seed gives byte-identical files.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import pathlib
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -142,12 +143,29 @@ class ExperimentConfig:
 
 @dataclasses.dataclass(frozen=True)
 class RunRecord:
-    """One replicate: its seed, SWEEP_HEADER-ordered rows, timing, warnings."""
+    """One replicate: its seed, SWEEP_HEADER-ordered rows, floored-row count."""
 
     seed: int
     rows: tuple
-    wall_time: float
     floored: int
+
+
+def _replicate(model: ModelSpec, lcfg: LssConfig, seed: int):
+    """Simulate one panel and evaluate it on the grid.
+
+    Returns the sweep arrays with psi (oracle r) and psi_hat (plug-in r).
+    """
+    sw = lss.sweep_panel(simulate_panel(model, lcfg.M, lcfg.N, seed), lcfg)
+    phi = lss.phi_value(lcfg.c_N, lcfg.f)
+    vn = lss.v_n(lcfg.B, lcfg.N)
+    psi = assemble_psi(sw.lss_raw, sw.r_oracle, phi, vn, lcfg.correction_active)
+    psi_hat = assemble_psi(sw.lss_raw, sw.r_plugin, phi, vn, lcfg.correction_active)
+    return sw, psi, psi_hat
+
+
+def _sups(sw, psi, psi_hat) -> tuple:
+    """sup |lss_raw|, sup |psi| and sup |psi_hat| of one replicate."""
+    return tuple(lss.sup_abs(sw.nu, x)[0] for x in (sw.lss_raw, psi, psi_hat))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,27 +182,23 @@ def frequency_sweep(cfg: ExperimentConfig, seeds=None, threads: int | None = Non
     model = cfg.model()
     if seeds is None:
         seeds = [split_seed(cfg.seed, i) for i in range(cfg.replicates)]
+    seeds = list(seeds)
     threads = cfg.threads if threads is None else threads
     vn = lss.v_n(cfg.B, cfg.N)
     phi = lss.phi_value(lcfg.c_N, lcfg.f)
     lss.mp_integral_value(lcfg.c_N, lcfg.f)
-    active = lcfg.correction_active
 
-    def one(seed: int) -> RunRecord:
-        t0 = time.perf_counter()
-        panel = simulate_panel(model, cfg.M, cfg.N, seed)
-        points = lss.sweep_panel(panel, lcfg, want_oracle=True, want_plugin=True)
-        rows = tuple(
-            (pt.nu, pt.lss_raw, vn, pt.r_oracle, pt.r_plugin, phi,
-             assemble_psi(pt.lss_raw, pt.r_oracle, phi, vn, active),
-             assemble_psi(pt.lss_raw, pt.r_plugin, phi, vn, active),
-             seed)
-            for pt in points
+    reps = _parallel_map(functools.partial(_replicate, model, lcfg), seeds, threads)
+    records = tuple(
+        RunRecord(
+            seed=seed,
+            rows=tuple(zip(sw.nu.tolist(), sw.lss_raw.tolist(), itertools.repeat(vn),
+                           sw.r_oracle.tolist(), sw.r_plugin.tolist(), itertools.repeat(phi),
+                           psi.tolist(), psi_hat.tolist(), itertools.repeat(seed))),
+            floored=int(sw.floored.sum()),
         )
-        return RunRecord(seed=seed, rows=rows, wall_time=time.perf_counter() - t0,
-                         floored=sum(pt.floored for pt in points))
-
-    records = tuple(_parallel_map(one, seeds, threads))
+        for seed, (sw, psi, psi_hat) in zip(seeds, reps)
+    )
 
     n_grid = len(lcfg.grid)
     stack = np.array([[row[:8] for row in rec.rows] for rec in records], dtype=float)
@@ -195,9 +209,7 @@ def frequency_sweep(cfg: ExperimentConfig, seeds=None, threads: int | None = Non
         for j in range(n_grid)
     )
 
-    sup_raw = [max(abs(row[1]) for row in rec.rows) for rec in records]
-    sup_psi = [max(abs(row[6]) for row in rec.rows) for rec in records]
-    sup_psi_hat = [max(abs(row[7]) for row in rec.rows) for rec in records]
+    sup_raw, sup_psi, sup_psi_hat = zip(*(_sups(*rep) for rep in reps))
     improved_mean = [abs(mean[j, 6]) < abs(mean[j, 1]) for j in range(n_grid)]
     improved_pooled = [abs(row[6]) < abs(row[1]) for rec in records for row in rec.rows]
     fraction = float(np.mean(improved_mean))
@@ -250,23 +262,9 @@ def scaling_study(M_list, alpha: float = 0.8, c_target: float = 0.5, theta: floa
         B, N = scaling_geometry(M, alpha, c_target)
         lcfg = LssConfig(N=N, B=B, M=M, alpha=alpha, L=L, f=f,
                          correction_mode="oracle", grid=default_grid(N, grid_stride))
-        vn = lss.v_n(B, N)
-        phi = lss.phi_value(lcfg.c_N, lcfg.f)
-        active = lcfg.correction_active
-
-        def one(sd: int, M=M, N=N, lcfg=lcfg, vn=vn, phi=phi, active=active):
-            panel = simulate_panel(model, M, N, sd)
-            points = lss.sweep_panel(panel, lcfg, want_oracle=True, want_plugin=True)
-            psi = [assemble_psi(pt.lss_raw, pt.r_oracle, phi, vn, active) for pt in points]
-            psi_hat = [assemble_psi(pt.lss_raw, pt.r_plugin, phi, vn, active) for pt in points]
-            return (
-                max(abs(pt.lss_raw) for pt in points),
-                max(abs(x) for x in psi),
-                max(abs(x) for x in psi_hat),
-                max(psi),
-            )
-
-        sups = np.array(_parallel_map(one, seeds, threads), dtype=float)
+        lss.phi_value(lcfg.c_N, lcfg.f)  # cache phi before the workers start
+        reps = _parallel_map(functools.partial(_replicate, model, lcfg), seeds, threads)
+        sups = np.array([_sups(*rep) + (float(np.max(rep[1])),) for rep in reps], dtype=float)
         med = np.median(sups, axis=0)
         ratio = N / B
         rows.append({
@@ -315,23 +313,14 @@ def histogram_study(cfg: ExperimentConfig, R: int | None = None) -> HistogramRes
         raise ConfigError(f"replicate count must be >= 1, got {R}")
     lcfg = cfg.lss_config()
     model = cfg.model()
-    vn = lss.v_n(cfg.B, cfg.N)
-    phi = lss.phi_value(lcfg.c_N, lcfg.f)
+    # cache phi and the MP integral before the workers start
+    lss.phi_value(lcfg.c_N, lcfg.f)
     lss.mp_integral_value(lcfg.c_N, lcfg.f)
-    active = lcfg.correction_active
     seeds = [split_seed(cfg.seed, i) for i in range(R)]
 
-    def one(sd: int):
-        panel = simulate_panel(model, cfg.M, cfg.N, sd)
-        points = lss.sweep_panel(panel, lcfg, want_oracle=True, want_plugin=True)
-        psi = [assemble_psi(pt.lss_raw, pt.r_oracle, phi, vn, active) for pt in points]
-        psi_hat = [assemble_psi(pt.lss_raw, pt.r_plugin, phi, vn, active) for pt in points]
-        return (max(abs(pt.lss_raw) for pt in points),
-                max(abs(x) for x in psi),
-                max(abs(x) for x in psi_hat))
-
-    sups = _parallel_map(one, seeds, cfg.threads)
-    rows = tuple((i, seeds[i]) + tuple(float(x) for x in sups[i]) for i in range(R))
+    reps = _parallel_map(functools.partial(_replicate, model, lcfg), seeds, cfg.threads)
+    sups = [_sups(*rep) for rep in reps]
+    rows = tuple((i, seeds[i]) + sups[i] for i in range(R))
     arr = np.array(sups, dtype=float)
     quantiles = {}
     for j, name in enumerate(("sup_raw", "sup_psi", "sup_psi_hat")):
@@ -368,11 +357,8 @@ def eigenvalue_localization_check(cfg: ExperimentConfig, seeds=None, epsilon: fl
 
     def one(sd: int) -> float:
         panel = simulate_panel(model, cfg.M, cfg.N, sd)
-        table = spectral.dft_grid(panel)
         worst = 0.0
-        for nu in lcfg.grid:
-            S = spectral.smoothed_periodogram(panel, nu, cfg.B, grid=table)
-            C = spectral.coherency_matrix(S)
+        for C in lss.coherencies(panel, lcfg.grid, cfg.B, spectral.dft_grid(panel)):
             eigs = lss.hermitian_eigenvalues(C)
             worst = max(worst, lm - float(eigs[0]), float(eigs[-1]) - lp)
         return worst

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,36 +221,36 @@ def r_n_true(model: ModelSpec, M: int, nu):
     return float(out) if np.isscalar(nu) or np.asarray(nu).ndim == 0 else out
 
 
-def _r_hat_from_columns(s_col: np.ndarray, sp_col: np.ndarray) -> tuple[float, int]:
-    s_max = float(np.max(s_col))
-    if s_max <= 0.0:
+def r_hat_grid(panel: TimeSeriesPanel, L: int, nus) -> tuple[np.ndarray, np.ndarray]:
+    """Plug-in estimate of r at each frequency and its count of floored rows."""
+    s, sp = spectral.lag_window_grid(spectral.lag_covariances(panel.data, L), nus)
+    s_max = s.max(axis=0)
+    if np.any(s_max <= 0.0):
         raise DegenerateEstimateError("all lag-window density estimates are nonpositive")
     floor = _S_FLOOR_FRACTION * s_max
-    floored = int(np.count_nonzero(s_col < floor))
-    safe = np.maximum(s_col, floor)
-    return float(np.mean(sp_col / safe)) ** 2, floored
-
-
-def r_n_hat_detailed(panel: TimeSeriesPanel, L: int, nu: float) -> tuple[float, int]:
-    """Plug-in estimate of r and the count of floored rows."""
-    if not 1 <= L < panel.N:
-        raise InvalidArgumentError(f"L must satisfy 1 <= L < N, got L={L}, N={panel.N}")
-    lags = spectral.lag_covariances(panel.data, L)
-    s_grid, sp_grid = spectral.lag_window_grid(lags, np.asarray([nu], dtype=float))
-    return _r_hat_from_columns(s_grid[:, 0], sp_grid[:, 0])
+    ratio = sp / np.maximum(s, floor)
+    # a mean along the contiguous axis sums in the same order as the 1-D mean
+    # over one frequency's rows; the square is taken on Python floats (libm
+    # pow), which can differ from numpy's x * x in the last bit, so that
+    # output files stay byte-stable
+    means = np.mean(np.ascontiguousarray(ratio.T), axis=1)
+    r = np.array([m ** 2 for m in means.tolist()])
+    return r, np.count_nonzero(s < floor, axis=0)
 
 
 def r_n_hat(panel: TimeSeriesPanel, L: int, nu: float) -> float:
-    return r_n_hat_detailed(panel, L, nu)[0]
+    """Plug-in estimate of r at one frequency."""
+    if not 1 <= L < panel.N:
+        raise InvalidArgumentError(f"L must satisfy 1 <= L < N, got L={L}, N={panel.N}")
+    return float(r_hat_grid(panel, L, [nu])[0][0])
 
 
 _MP_CACHE: dict = {}
-_PHI_CACHE: dict = {}
 
 
 def mp_integral_value(c: float, f) -> float:
     f = spectral_function(f)
-    key = (float(c), f.cache_key)
+    key = (float(c), f)
     if key not in _MP_CACHE:
         _MP_CACHE[key] = rmt.mp_integral(MPModel(c), f)
     return _MP_CACHE[key]
@@ -257,20 +258,36 @@ def mp_integral_value(c: float, f) -> float:
 
 def phi_value(c: float, f) -> float:
     """phi(f) = <D, f>, the frequency-independent correction factor."""
-    f = spectral_function(f)
-    key = (float(c), f.cache_key)
-    if key not in _PHI_CACHE:
-        _PHI_CACHE[key] = rmt.distribution_action("p", MPModel(c), f)
-    return _PHI_CACHE[key]
+    return rmt.distribution_action("p", MPModel(c), f)
 
 
-def assemble_psi(lss_raw: float, r_term: float, phi: float, vn: float, active: bool) -> float:
-    # single assembly point so the LssRecord identity holds bit-for-bit
+def assemble_psi(lss_raw, r_term, phi: float, vn: float, active: bool):
+    # single assembly point, scalar or elementwise, so psi is the same bits
+    # whichever entry point produced it
     return lss_raw - r_term * phi * vn * (1.0 if active else 0.0)
 
 
-def _coherency_at(panel: TimeSeriesPanel, nu: float, B: int, grid=None) -> spectral.SpectralMatrix:
-    return spectral.coherency_matrix(spectral.smoothed_periodogram(panel, nu, B, grid=grid))
+def coherencies(panel: TimeSeriesPanel, nus, B: int, table: np.ndarray | None = None):
+    """Yield the coherency matrix C(nu) at each frequency in turn.
+
+    Pass a dft_grid table to share one FFT across on-grid frequencies;
+    without one, each frequency computes its own DFT columns.
+    """
+    for nu in nus:
+        yield spectral.coherency_matrix(spectral.smoothed_periodogram(panel, float(nu), B, grid=table))
+
+
+def _lss_raw(cfg: LssConfig, matrices) -> np.ndarray:
+    mp_val = mp_integral_value(cfg.c_N, cfg.f)
+    return np.array([trace_functional(C, cfg.f) - mp_val for C in matrices])
+
+
+def sup_abs(nu: np.ndarray, values) -> tuple[float, float]:
+    """(max |values|, its frequency); ties break to the smallest frequency,
+    so the result is independent of grid ordering."""
+    a = np.abs(values)
+    best = a.max()
+    return float(best), float(np.min(nu[a == best]))
 
 
 def _check_panel_matches(panel: TimeSeriesPanel, cfg: LssConfig):
@@ -280,19 +297,46 @@ def _check_panel_matches(panel: TimeSeriesPanel, cfg: LssConfig):
         )
 
 
+def _records(cfg: LssConfig, nus: np.ndarray, raw: np.ndarray,
+             panel: TimeSeriesPanel | None, model: ModelSpec | None) -> list[LssRecord]:
+    """LssRecords at nus, computing only the r that cfg.correction_mode needs."""
+    floored = np.zeros(len(nus), dtype=int)
+    if cfg.correction_mode == "none":
+        r = np.zeros(len(nus))
+    elif cfg.correction_mode == "oracle":
+        if model is None:
+            raise InvalidArgumentError("oracle correction needs a model")
+        r = r_n_true(model, cfg.M, nus)
+    else:
+        if panel is None:
+            raise InvalidArgumentError("plugin correction needs the panel, not just C(nu)")
+        r, floored = r_hat_grid(panel, cfg.L, nus)
+    vn = v_n(cfg.B, cfg.N)
+    un = u_n(cfg.B, cfg.N)
+    phi = phi_value(cfg.c_N, cfg.f)
+    psi = assemble_psi(raw, r, phi, vn, cfg.correction_active)
+    return [
+        LssRecord(nu=nu_k, lss_raw=raw_k, v_n=vn, u_n=un, r_term=r_k, phi=phi, psi=psi_k,
+                  mode=cfg.correction_mode, floored=fl_k)
+        for nu_k, raw_k, r_k, psi_k, fl_k in zip(
+            nus.tolist(), raw.tolist(), r.tolist(), psi.tolist(), floored.tolist())
+    ]
+
+
 def psi_at(source, cfg: LssConfig, nu: float, model: ModelSpec | None = None) -> LssRecord:
     """Evaluate one frequency from a panel or a precomputed coherency matrix.
 
     Oracle mode needs a model (taken from the panel when available); plugin
     mode needs the panel itself, since r-hat is estimated from the data.
     """
+    nus = np.array([float(nu)])
     panel = None
     if isinstance(source, TimeSeriesPanel):
         panel = source
         _check_panel_matches(panel, cfg)
         if model is None:
             model = panel.model
-        C = _coherency_at(panel, nu, cfg.B)
+        matrices = coherencies(panel, nus, cfg.B)
     elif isinstance(source, spectral.SpectralMatrix):
         C = source
         if C.kind != "coherency":
@@ -305,112 +349,37 @@ def psi_at(source, cfg: LssConfig, nu: float, model: ModelSpec | None = None) ->
             raise InvalidArgumentError(
                 f"matrix is {C.values.shape[0]} x {C.values.shape[0]}, config expects M={cfg.M}"
             )
+        matrices = [C]
     else:
         raise InvalidArgumentError("source must be a TimeSeriesPanel or a coherency SpectralMatrix")
-
-    raw = trace_functional(C, cfg.f) - mp_integral_value(cfg.c_N, cfg.f)
-    floored = 0
-    if cfg.correction_mode == "none":
-        r_term = 0.0
-    elif cfg.correction_mode == "oracle":
-        if model is None:
-            raise InvalidArgumentError("oracle correction needs a model")
-        r_term = r_n_true(model, cfg.M, nu)
-    else:
-        if panel is None:
-            raise InvalidArgumentError("plugin correction needs the panel, not just C(nu)")
-        r_term, floored = r_n_hat_detailed(panel, cfg.L, nu)
-    vn = v_n(cfg.B, cfg.N)
-    return LssRecord(
-        nu=float(nu),
-        lss_raw=raw,
-        v_n=vn,
-        u_n=u_n(cfg.B, cfg.N),
-        r_term=float(r_term),
-        phi=phi_value(cfg.c_N, cfg.f),
-        psi=assemble_psi(raw, float(r_term), phi_value(cfg.c_N, cfg.f), vn, cfg.correction_active),
-        mode=cfg.correction_mode,
-        floored=floored,
-    )
+    return _records(cfg, nus, _lss_raw(cfg, matrices), panel, model)[0]
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepPoint:
-    """Raw statistic plus both correction candidates at one grid frequency."""
+class Sweep(NamedTuple):
+    """lss_raw, both candidate r terms and r-hat's floored-row count, one
+    array entry per grid frequency."""
 
-    nu: float
-    lss_raw: float
-    r_oracle: float | None
-    r_plugin: float | None
-    floored: int
+    nu: np.ndarray
+    lss_raw: np.ndarray
+    r_oracle: np.ndarray
+    r_plugin: np.ndarray
+    floored: np.ndarray
 
 
-def sweep_panel(panel: TimeSeriesPanel, cfg: LssConfig,
-                want_oracle: bool = True, want_plugin: bool = True) -> list[SweepPoint]:
+def sweep_panel(panel: TimeSeriesPanel, cfg: LssConfig) -> Sweep:
     """Evaluate the whole grid with shared DFT and lag-window tables."""
     _check_panel_matches(panel, cfg)
     nus = cfg.grid_array
-    table = spectral.dft_grid(panel)
-    mp_val = mp_integral_value(cfg.c_N, cfg.f)
-    r_or = None
-    if want_oracle:
-        r_or = np.atleast_1d(np.asarray(r_n_true(panel.model, cfg.M, nus), dtype=float))
-    s_grid = sp_grid = None
-    if want_plugin:
-        lags = spectral.lag_covariances(panel.data, cfg.L)
-        s_grid, sp_grid = spectral.lag_window_grid(lags, nus)
-    points = []
-    for k, nu in enumerate(nus):
-        C = _coherency_at(panel, float(nu), cfg.B, grid=table)
-        raw = trace_functional(C, cfg.f) - mp_val
-        r_p, fl = (None, 0)
-        if want_plugin:
-            r_p, fl = _r_hat_from_columns(s_grid[:, k], sp_grid[:, k])
-        points.append(SweepPoint(
-            nu=float(nu),
-            lss_raw=raw,
-            r_oracle=float(r_or[k]) if want_oracle else None,
-            r_plugin=r_p,
-            floored=fl,
-        ))
-    return points
+    raw = _lss_raw(cfg, coherencies(panel, nus, cfg.B, spectral.dft_grid(panel)))
+    r_hat, floored = r_hat_grid(panel, cfg.L, nus)
+    return Sweep(nus, raw, r_n_true(panel.model, cfg.M, nus), r_hat, floored)
 
 
 def sup_over_grid(panel: TimeSeriesPanel, cfg: LssConfig) -> tuple[float, float, list[LssRecord]]:
-    """(max |psi| over the grid, its frequency, all records).
-
-    Ties break to the smallest frequency so the result is independent of
-    grid ordering.
-    """
-    mode = cfg.correction_mode
-    points = sweep_panel(panel, cfg, want_oracle=(mode == "oracle"), want_plugin=(mode == "plugin"))
-    vn = v_n(cfg.B, cfg.N)
-    un = u_n(cfg.B, cfg.N)
-    phi = phi_value(cfg.c_N, cfg.f)
-    records = []
-    for pt in points:
-        if mode == "none":
-            r_term = 0.0
-        elif mode == "oracle":
-            r_term = pt.r_oracle
-        else:
-            r_term = pt.r_plugin
-        records.append(LssRecord(
-            nu=pt.nu,
-            lss_raw=pt.lss_raw,
-            v_n=vn,
-            u_n=un,
-            r_term=r_term,
-            phi=phi,
-            psi=assemble_psi(pt.lss_raw, r_term, phi, vn, cfg.correction_active),
-            mode=mode,
-            floored=pt.floored,
-        ))
-    best_val = -1.0
-    best_nu = None
-    for rec in records:
-        a = abs(rec.psi)
-        if a > best_val or (a == best_val and rec.nu < best_nu):
-            best_val = a
-            best_nu = rec.nu
-    return best_val, best_nu, records
+    """(max |psi| over the grid, its frequency, all records)."""
+    _check_panel_matches(panel, cfg)
+    nus = cfg.grid_array
+    raw = _lss_raw(cfg, coherencies(panel, nus, cfg.B, spectral.dft_grid(panel)))
+    records = _records(cfg, nus, raw, panel, panel.model)
+    best, best_nu = sup_abs(nus, [rec.psi for rec in records])
+    return best, best_nu, records

@@ -110,12 +110,6 @@ class SpectralFunction:
         return cls(kind="callable", fn=fn, analytic=analytic,
                    positive_domain=positive_domain, label=label)
 
-    @property
-    def cache_key(self):
-        if self.kind == "callable":
-            return (self.kind, id(self.fn))
-        return (self.kind, self.coefficients)
-
     def __call__(self, x):
         arr = np.asarray(x)
         if self.positive_domain and not np.iscomplexobj(arr):
@@ -342,7 +336,7 @@ def distribution_action(transform: str, model: MPModel, f: SpectralFunction, met
     a1, a2 = _action_interval(model, f)
     if f.positive_domain and a1 <= 0.0:
         raise DomainError(f"{f.label} action needs a positive interval, got a1 = {a1}", value=a1)
-    key = (transform, model.c, f.cache_key, method)
+    key = (transform, model.c, f, method)
     if key not in _ACTION_CACHE:
         if method == "inversion":
             _ACTION_CACHE[key] = _action_inversion(model, f, transform, a1, a2)

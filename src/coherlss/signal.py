@@ -88,6 +88,8 @@ class TimeSeriesPanel:
         data = np.asarray(self.data, dtype=np.complex128)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise InvalidArgumentError(f"panel data must be M x N with M, N >= 1, got shape {data.shape}")
+        if not np.all(np.isfinite(data)):
+            raise InvalidArgumentError("panel data must be finite (no NaN or inf)")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "seed", _check_seed(self.seed))
 

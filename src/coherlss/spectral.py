@@ -12,11 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrumError,
-    InvalidArgumentError,
-    NumericalFailureError,
-)
+from .errors import DegenerateSpectrumError, InvalidArgumentError
 from .signal import TimeSeriesPanel
 
 SPECTRAL_KINDS = ("smoothed_periodogram", "coherency")
@@ -174,33 +170,3 @@ def lag_window_grid(lags: np.ndarray, nus: np.ndarray) -> tuple[np.ndarray, np.n
     s = r0 + 2.0 * (lags[:, 1:] @ phases).real
     sp = 4.0 * np.pi * ((lags[:, 1:] * lvec) @ phases).imag
     return s, sp
-
-
-def _real_part_checked(value: complex, what: str) -> float:
-    if abs(value.imag) > 1e-10 * (1.0 + abs(value.real)):
-        raise NumericalFailureError(
-            f"{what} should be real, got imaginary part {value.imag:.3e}"
-        )
-    return float(value.real)
-
-
-def lag_window_estimate(y, L: int, nu: float) -> float:
-    """sum_{l=-L}^{L} r_l e^{-2 i pi l nu}; signed (Dirichlet window)."""
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    lags = lag_covariances(y, L)[0]
-    l_all = np.arange(-L, L + 1)
-    r_all = np.concatenate([lags[1:][::-1].conj(), lags]) if L > 0 else lags
-    total = complex(r_all @ np.exp(-2j * np.pi * l_all * float(nu)))
-    return _real_part_checked(total, "lag-window estimate")
-
-
-def lag_window_derivative(y, L: int, nu: float) -> float:
-    """sum_{l=-L}^{L} (-2 i pi l) r_l e^{-2 i pi l nu}; the nu-derivative."""
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    lags = lag_covariances(y, L)[0]
-    l_all = np.arange(-L, L + 1)
-    r_all = np.concatenate([lags[1:][::-1].conj(), lags]) if L > 0 else lags
-    total = complex(
-        (r_all * (-2j * np.pi * l_all)) @ np.exp(-2j * np.pi * l_all * float(nu))
-    )
-    return _real_part_checked(total, "lag-window derivative")

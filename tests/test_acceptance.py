@@ -56,7 +56,6 @@ def _desk_sweep():
 def _clear_action_caches():
     _rmt_mod._ACTION_CACHE.clear()
     _lss_mod._MP_CACHE.clear()
-    _lss_mod._PHI_CACHE.clear()
 
 
 def test_criterion_1_phi_golden(acceptance):

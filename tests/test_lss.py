@@ -196,6 +196,20 @@ def test_r_n_hat_validation():
         r_n_hat(panel, 64, 0.2)
 
 
+def test_callable_integrals_key_on_the_function():
+    # fresh callables reuse the ids of collected ones; each must still get
+    # its own MP integral and phi
+    from coherlss import SpectralFunction
+    from coherlss.lss import mp_integral_value, phi_value
+
+    c = 0.5
+    phi_square = phi_value(c, SpectralFunction.from_callable(lambda x: x * x, analytic=True))
+    for a in range(2, 32):
+        f = SpectralFunction.from_callable(lambda x, a=a: a * x * x, analytic=True)
+        assert mp_integral_value(c, f) == pytest.approx(a * (1.0 + c), rel=1e-8)
+        assert phi_value(c, f) == pytest.approx(a * phi_square, rel=1e-8)
+
+
 # --- psi ----------------------------------------------------------------------
 
 
@@ -327,3 +341,39 @@ def test_sup_over_grid_white_noise_scale():
         val, _, _ = sup_over_grid(panel, cfg)
         sups.append(val)
     assert float(np.median(sups)) <= 5.0 * u_n(128, 1024)
+
+
+@pytest.mark.parametrize("mode", ["oracle", "plugin"])
+def test_entry_points_agree_exactly(mode):
+    # psi_at, sup_over_grid, sweep_panel and frequency_sweep share one
+    # evaluation path, so they give the same bits at a grid frequency
+    import dataclasses
+
+    from coherlss import ExperimentConfig, frequency_sweep, sweep_panel
+
+    seed = 12
+    cfg = ExperimentConfig(N=512, B=96, M=48, theta=0.4, grid_stride=16, correction_mode=mode)
+    lcfg = cfg.lss_config()
+    panel = simulate_panel(cfg.model(), 48, 512, seed=seed)
+    sweep = sweep_panel(panel, lcfg)
+    rows = frequency_sweep(cfg, seeds=[seed]).records[0].rows
+    _, _, records = sup_over_grid(panel, lcfg)
+    r_sweep = sweep.r_oracle if mode == "oracle" else sweep.r_plugin
+    r_col, psi_col = (3, 6) if mode == "oracle" else (4, 7)
+    assert len(records) == len(rows) == len(sweep.nu) == 32
+    for k in (0, 5, 13, 21):
+        nu = lcfg.grid[k]
+        rec = records[k]
+        assert rec.nu == sweep.nu[k] == rows[k][0] == nu
+        assert rec.lss_raw == sweep.lss_raw[k] == rows[k][1]
+        assert rec.r_term == r_sweep[k] == rows[k][r_col]
+        assert rec.psi == rows[k][psi_col]
+        one = psi_at(panel, lcfg, nu)
+        if mode == "oracle":
+            assert one == rec
+        else:
+            # BLAS picks the lag-window matmul kernel, and with it the
+            # rounding, by how many frequencies share the call
+            assert dataclasses.replace(one, r_term=rec.r_term, psi=rec.psi) == rec
+            assert one.r_term == pytest.approx(rec.r_term, rel=1e-14, abs=1e-300)
+            assert one.psi == pytest.approx(rec.psi, rel=1e-13)

@@ -150,3 +150,12 @@ def test_panel_validation():
         TimeSeriesPanel(np.zeros(4), ModelSpec.white_noise(), 0)
     with pytest.raises(InvalidArgumentError):
         simulate_panel(ModelSpec.white_noise(), 0, 4, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_panel_rejects_non_finite_data(bad):
+    # caught here, a NaN cannot reach the eigensolver as a raw LinAlgError
+    data = np.ones((3, 8), dtype=np.complex128)
+    data[1, 4] = bad
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        TimeSeriesPanel(data, ModelSpec.white_noise(), 0)

@@ -12,8 +12,6 @@ from coherlss import (
     biased_autocovariance,
     coherency_matrix,
     dft_grid,
-    lag_window_derivative,
-    lag_window_estimate,
     renormalized_dft,
     simulate_panel,
     smoothed_periodogram,
@@ -165,6 +163,20 @@ def test_biased_autocovariance_expectation():
         assert abs(np.mean(lags[:, l]) - target) < 0.02
 
 
+def _direct_lag_window(y, L, nu):
+    """Reference (s, s') at one frequency: the direct sums over l = -L..L of
+    r_l e^{-2 i pi l nu} and of its nu-derivative."""
+    lags = lag_covariances(y, L)[0]
+    l_all = np.arange(-L, L + 1)
+    r_all = np.concatenate([lags[1:][::-1].conj(), lags])
+    phase = np.exp(-2j * np.pi * l_all * nu)
+    s = complex(r_all @ phase)
+    sp = complex((r_all * (-2j * np.pi * l_all)) @ phase)
+    assert abs(s.imag) <= 1e-10 * (1.0 + abs(s.real))
+    assert abs(sp.imag) <= 1e-10 * (1.0 + abs(sp.real))
+    return s.real, sp.real
+
+
 def test_lag_window_grid_matches_scalar_functions():
     rng = np.random.default_rng(8)
     data = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
@@ -174,24 +186,28 @@ def test_lag_window_grid_matches_scalar_functions():
     assert s.shape == (3, 4) and sp.shape == (3, 4)
     for m in range(3):
         for k, nu in enumerate(nus):
-            assert abs(s[m, k] - lag_window_estimate(data[m], 4, nu)) < 1e-12
-            assert abs(sp[m, k] - lag_window_derivative(data[m], 4, nu)) < 1e-10
+            s_ref, sp_ref = _direct_lag_window(data[m], 4, nu)
+            assert abs(s[m, k] - s_ref) < 1e-12
+            assert abs(sp[m, k] - sp_ref) < 1e-10
 
 
 def test_lag_window_derivative_finite_difference():
     rng = np.random.default_rng(9)
     y = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    lags = lag_covariances(y, 6)
     h = 1e-7
     for nu in (0.1, 0.31, 0.47):
-        fd = (lag_window_estimate(y, 6, nu + h) - lag_window_estimate(y, 6, nu - h)) / (2 * h)
-        assert abs(lag_window_derivative(y, 6, nu) - fd) < 1e-4 * max(1.0, abs(fd))
+        s, sp = lag_window_grid(lags, np.array([nu - h, nu, nu + h]))
+        fd = (s[0, 2] - s[0, 0]) / (2 * h)
+        assert abs(sp[0, 1] - fd) < 1e-4 * max(1.0, abs(fd))
 
 
 def test_lag_window_l_zero():
     y = np.array([1.0, 1.0j, -1.0, 2.0])
     r0 = float(np.mean(np.abs(y) ** 2))
-    assert lag_window_estimate(y, 0, 0.3) == r0
-    assert lag_window_derivative(y, 0, 0.3) == 0.0
+    s, sp = lag_window_grid(lag_covariances(y, 0), np.array([0.3]))
+    assert s[0, 0] == r0
+    assert sp[0, 0] == 0.0
 
 
 def test_lag_window_estimates_white_density():
