@@ -14,44 +14,74 @@ failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import pathlib
 import sys
+from typing import NamedTuple
 
 from . import experiments, rmt
 from ._version import __version__
 from .errors import CoherlssError, ConfigError, InvalidArgumentError
 from .experiments import ExperimentConfig
-from .signal import ModelSpec
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
-_PANEL_KEYS = frozenset({
-    "N", "B", "M", "theta", "alpha", "L", "f", "correction_mode",
-    "grid_stride", "replicates", "seed", "threads",
-})
-_SCALING_KEYS = frozenset({
-    "M_list", "alpha", "c_target", "theta", "f", "L",
-    "grid_stride", "replicates", "seed", "threads",
-})
-_VALIDATE_KEYS = frozenset({"N", "B", "M", "theta", "replicates", "seed", "threads"})
+# config keys that a flag can set: --key, underscores becoming dashes; a flag
+# overrides the config file.  Keys not listed here are set by file only.
+_FLAGS = {
+    "N": dict(type=int, help="series length per row"),
+    "B": dict(type=int, help="even smoothing span"),
+    "M": dict(type=int, help="panel rows (matrix dimension)"),
+    "L": dict(type=int, help="lag-window bandwidth"),
+    "theta": dict(type=float, help="AR(1) coefficient; 0 means white noise"),
+    "alpha": dict(type=float, help="growth exponent in (1/2,1); sweep and histogram default "
+                                   "to log B/log N, scaling derives N from B with it"),
+    "f": dict(choices=("square_centered", "log"), help="spectral test function"),
+    "grid_stride": dict(type=int, help="Fourier grid stride (default keeps <=512 points)"),
+    "replicates": dict(type=int, help="Monte Carlo replicate count"),
+    "seed": dict(type=int, help="master seed (unsigned 64-bit)"),
+    "threads": dict(type=int, help="worker threads; COHERLSS_THREADS is honored when absent"),
+}
 
-_SWEEP_DEFAULTS = {"N": 2048, "B": 256, "M": 128, "theta": 0.4, "replicates": 5, "seed": 0}
-_SWEEP_QUICK = {"N": 512, "B": 96, "M": 48, "theta": 0.4, "replicates": 2, "seed": 0,
-                "grid_stride": 4}
-_HISTOGRAM_DEFAULTS = {"N": 1063, "B": 200, "M": 100, "theta": 0.4, "replicates": 200, "seed": 0}
-_HISTOGRAM_QUICK = {"N": 512, "B": 96, "M": 48, "theta": 0.4, "replicates": 20, "seed": 0,
-                    "grid_stride": 4}
-_SCALING_DEFAULTS = {"M_list": [40, 80, 160], "alpha": 0.8, "c_target": 0.5, "theta": 0.4,
-                     "f": "square_centered", "replicates": 10, "seed": 0}
-_SCALING_QUICK = {"M_list": [20, 40], "alpha": 0.8, "c_target": 0.5, "theta": 0.4,
-                  "f": "square_centered", "replicates": 3, "seed": 0}
-_VALIDATE_DEFAULTS = {"N": 2048, "B": 256, "M": 128, "theta": 0.4, "replicates": 3, "seed": 0}
-_VALIDATE_QUICK = {"N": 512, "B": 96, "M": 48, "theta": 0.4, "replicates": 1, "seed": 0}
+
+class _Command(NamedTuple):
+    help: str
+    keys: tuple  # the config keys the command accepts
+    defaults: dict
+    quick: dict
+
+
+_PANEL_KEYS = ("N", "B", "M", "L", "theta", "alpha", "f", "grid_stride", "correction_mode",
+               "replicates", "seed", "threads")
+
+_COMMANDS = {
+    "sweep": _Command(
+        "per-frequency raw and corrected statistics", _PANEL_KEYS,
+        {"N": 2048, "B": 256, "M": 128, "theta": 0.4, "replicates": 5, "seed": 0},
+        {"N": 512, "B": 96, "M": 48, "theta": 0.4, "replicates": 2, "seed": 0, "grid_stride": 4}),
+    "scaling": _Command(
+        "sup statistics across M, rescaled by (N/B)^2 and (N/B)^3",
+        ("M_list", "c_target", "theta", "alpha", "f", "L", "grid_stride",
+         "replicates", "seed", "threads"),
+        {"M_list": [40, 80, 160], "alpha": 0.8, "c_target": 0.5, "theta": 0.4,
+         "f": "square_centered", "replicates": 10, "seed": 0},
+        {"M_list": [20, 40], "alpha": 0.8, "c_target": 0.5, "theta": 0.4,
+         "f": "square_centered", "replicates": 3, "seed": 0}),
+    "histogram": _Command(
+        "replicate distribution of the sup statistics", _PANEL_KEYS,
+        {"N": 1063, "B": 200, "M": 100, "theta": 0.4, "replicates": 200, "seed": 0},
+        {"N": 512, "B": 96, "M": 48, "theta": 0.4, "replicates": 20, "seed": 0, "grid_stride": 4}),
+    "validate": _Command(
+        "golden values, covariance decay, localization",
+        ("N", "B", "M", "theta", "replicates", "seed", "threads"),
+        {"N": 2048, "B": 256, "M": 128, "theta": 0.4, "replicates": 3, "seed": 0},
+        {"N": 512, "B": 96, "M": 48, "theta": 0.4, "replicates": 1, "seed": 0}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,55 +91,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "coherency matrices: Monte Carlo studies and numerical validation.",
     )
     parser.add_argument("--version", action="version", version=f"coherlss {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{sweep,scaling,histogram,validate}")
-
-    def add_common(sp):
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--config", metavar="PATH", help="flat JSON config; flags override file values")
-        sp.add_argument("--seed", type=int, help="master seed (unsigned 64-bit)")
         sp.add_argument("--out-dir", default=".", metavar="DIR", help="output directory (default: .)")
-        sp.add_argument("--threads", type=int,
-                        help="worker threads; COHERLSS_THREADS is honored when absent")
-        sp.add_argument("--replicates", type=int, help="Monte Carlo replicate count")
         sp.add_argument("--quick", action="store_true", help="small sizes for a fast smoke run")
-
-    def add_panel_overrides(sp):
-        sp.add_argument("--N", type=int, help="series length per row")
-        sp.add_argument("--B", type=int, help="even smoothing span")
-        sp.add_argument("--M", type=int, help="panel rows (matrix dimension)")
-        sp.add_argument("--L", type=int, help="lag-window bandwidth")
-        sp.add_argument("--theta", type=float, help="AR(1) coefficient; 0 means white noise")
-        sp.add_argument("--alpha", type=float, help="growth exponent in (1/2,1); default log B/log N")
-        sp.add_argument("--f", choices=("square_centered", "log"), help="spectral test function")
-        sp.add_argument("--grid-stride", type=int, help="Fourier grid stride (default keeps <=512 points)")
-
-    sp = sub.add_parser("sweep", help="per-frequency raw and corrected statistics")
-    add_common(sp)
-    add_panel_overrides(sp)
-
-    sp = sub.add_parser("scaling", help="sup statistics across M, rescaled by (N/B)^2 and (N/B)^3")
-    add_common(sp)
-    sp.add_argument("--theta", type=float, help="AR(1) coefficient; 0 means white noise")
-    sp.add_argument("--alpha", type=float, help="growth exponent used to derive N from B")
-    sp.add_argument("--f", choices=("square_centered", "log"), help="spectral test function")
-    sp.add_argument("--L", type=int, help="lag-window bandwidth")
-    sp.add_argument("--grid-stride", type=int, help="Fourier grid stride")
-
-    sp = sub.add_parser("histogram", help="replicate distribution of the sup statistics")
-    add_common(sp)
-    add_panel_overrides(sp)
-
-    sp = sub.add_parser("validate", help="golden values, covariance decay, localization")
-    add_common(sp)
-    sp.add_argument("--N", type=int, help="series length for the localization check")
-    sp.add_argument("--B", type=int, help="even smoothing span")
-    sp.add_argument("--M", type=int, help="panel rows")
-    sp.add_argument("--theta", type=float, help="AR(1) coefficient")
-
+        for key in command.keys:
+            if key in _FLAGS:
+                sp.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
     return parser
 
 
-def _load_config_file(path, allowed: frozenset, command: str) -> dict:
+def _load_config_file(path, allowed, command: str) -> dict:
     if path is None:
         return {}
     p = pathlib.Path(path)
@@ -143,75 +137,47 @@ def _resolve_threads(flag_value, file_value):
     return 1
 
 
-def _merge_values(args, defaults: dict, file_cfg: dict, flag_names) -> dict:
-    values = dict(defaults)
+def _values(args) -> dict:
+    """Pinned defaults, then the config file, then flags; threads resolved last."""
+    command = _COMMANDS[args.command]
+    file_cfg = _load_config_file(args.config, command.keys, args.command)
+    values = dict(command.quick if args.quick else command.defaults)
     values.update(file_cfg)
-    for name in flag_names:
-        flag = getattr(args, name, None)
+    for key in command.keys:
+        flag = getattr(args, key, None)
         if flag is not None:
-            values[name] = flag
-    values["threads"] = _resolve_threads(getattr(args, "threads", None), file_cfg.get("threads"))
+            values[key] = flag
+    values["threads"] = _resolve_threads(args.threads, file_cfg.get("threads"))
     return values
 
 
-_PANEL_FLAGS = ("N", "B", "M", "L", "theta", "alpha", "f", "grid_stride", "replicates", "seed")
-
-
-def _cmd_sweep(args) -> int:
-    file_cfg = _load_config_file(args.config, _PANEL_KEYS, "sweep")
-    values = _merge_values(args, _SWEEP_QUICK if args.quick else _SWEEP_DEFAULTS,
-                           file_cfg, _PANEL_FLAGS)
-    cfg = ExperimentConfig(**values)
-    result = experiments.frequency_sweep(cfg)
-    csv_path, json_path = experiments.write_sweep_outputs(result, args.out_dir)
-    s = result.summary
-    print(f"sweep: {cfg.replicates} replicate(s), grid {result.config['grid_size']} points")
-    print(f"fraction of frequencies improved by the oracle correction: {s['fraction_improved']:.3f}")
-    print(f"median sup |raw| = {s['median_sup_raw']:.4e}, sup |psi| = {s['median_sup_psi']:.4e}, "
-          f"sup |psi_hat| = {s['median_sup_psi_hat']:.4e}")
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
-    return EXIT_OK
-
-
-def _cmd_scaling(args) -> int:
-    file_cfg = _load_config_file(args.config, _SCALING_KEYS, "scaling")
-    values = _merge_values(args, _SCALING_QUICK if args.quick else _SCALING_DEFAULTS, file_cfg,
-                           ("alpha", "theta", "f", "L", "grid_stride", "replicates", "seed"))
-    M_list = values.pop("M_list")
-    if not isinstance(M_list, (list, tuple)) or not M_list or not all(
-            isinstance(m, int) and not isinstance(m, bool) and m >= 1 for m in M_list):
-        raise ConfigError(f"M_list must be a nonempty list of positive integers, got {M_list!r}")
-    result = experiments.scaling_study(
-        M_list=M_list, alpha=values["alpha"], c_target=values["c_target"],
-        theta=values["theta"], f=values["f"], L=values.get("L"),
-        replicates=values["replicates"], seed=values["seed"], threads=values["threads"],
-        grid_stride=values.get("grid_stride"),
-    )
-    csv_path, json_path = experiments.write_scaling_outputs(result, args.out_dir)
-    print(f"scaling: M = {M_list}, {result.config['replicates']} replicate(s) each")
-    for row in result.rows:
-        print(f"  M={row['M']:>5} B={row['B']:>5} N={row['N']:>6}  "
-              f"sup|raw|*(N/B)^2={row['sup_raw_x2']:.3f}  sup|psi|*(N/B)^3={row['sup_psi_x3']:.3f}")
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
-    return EXIT_OK
-
-
-def _cmd_histogram(args) -> int:
-    file_cfg = _load_config_file(args.config, _PANEL_KEYS, "histogram")
-    values = _merge_values(args, _HISTOGRAM_QUICK if args.quick else _HISTOGRAM_DEFAULTS,
-                           file_cfg, _PANEL_FLAGS)
-    cfg = ExperimentConfig(**values)
-    result = experiments.histogram_study(cfg)
-    csv_path, json_path = experiments.write_histogram_outputs(result, args.out_dir)
-    q = result.summary["quantiles"]
-    print(f"histogram: {result.summary['replicates']} replicate(s)")
-    for name in ("sup_raw", "sup_psi", "sup_psi_hat"):
-        print(f"  {name:<12} median {q[name]['q50']:.4e}  (q05 {q[name]['q05']:.4e}, "
-              f"q95 {q[name]['q95']:.4e})")
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
+def _cmd_study(args) -> int:
+    values = _values(args)
+    if args.command == "sweep":
+        result = experiments.frequency_sweep(ExperimentConfig(**values))
+        paths = experiments.write_sweep_outputs(result, args.out_dir)
+        s, config = result.summary, result.config
+        print(f"sweep: {config['replicates']} replicate(s), grid {config['grid_size']} points")
+        print(f"fraction of frequencies improved by the oracle correction: {s['fraction_improved']:.3f}")
+        print(f"median sup |raw| = {s['median_sup_raw']:.4e}, sup |psi| = {s['median_sup_psi']:.4e}, "
+              f"sup |psi_hat| = {s['median_sup_psi_hat']:.4e}")
+    elif args.command == "scaling":
+        result = experiments.scaling_study(**values)
+        paths = experiments.write_scaling_outputs(result, args.out_dir)
+        print(f"scaling: M = {result.config['M_list']}, {result.config['replicates']} replicate(s) each")
+        for row in result.rows:
+            print(f"  M={row['M']:>5} B={row['B']:>5} N={row['N']:>6}  "
+                  f"sup|raw|*(N/B)^2={row['sup_raw_x2']:.3f}  sup|psi|*(N/B)^3={row['sup_psi_x3']:.3f}")
+    else:
+        result = experiments.histogram_study(ExperimentConfig(**values))
+        paths = experiments.write_histogram_outputs(result, args.out_dir)
+        q = result.summary["quantiles"]
+        print(f"histogram: {result.summary['replicates']} replicate(s)")
+        for name in ("sup_raw", "sup_psi", "sup_psi_hat"):
+            print(f"  {name:<12} median {q[name]['q50']:.4e}  (q05 {q[name]['q05']:.4e}, "
+                  f"q95 {q[name]['q95']:.4e})")
+    for path in paths:
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -220,9 +186,10 @@ def _print_check(name: str, passed: bool, detail: str) -> None:
 
 
 def _cmd_validate(args) -> int:
-    file_cfg = _load_config_file(args.config, _VALIDATE_KEYS, "validate")
-    values = _merge_values(args, _VALIDATE_QUICK if args.quick else _VALIDATE_DEFAULTS,
-                           file_cfg, ("N", "B", "M", "theta", "replicates", "seed"))
+    values = _values(args)
+    cfg = ExperimentConfig(**values)
+    # the localization check runs on a grid of at most 128 points
+    cfg = dataclasses.replace(cfg, grid_stride=max(1, math.ceil(cfg.N / 128)))
     checks = []
     tol = 1e-3
 
@@ -239,12 +206,10 @@ def _cmd_validate(args) -> int:
         checks.append((f"phi_tilde(log) = -1 [c={c}]",
                        abs(val + 1.0) <= tol, f"|error| = {abs(val + 1.0):.2e} (tol {tol:g})"))
 
-    theta = float(values["theta"])
-    model = ModelSpec.white_noise() if theta == 0.0 else ModelSpec.ar1(theta)
     N_list = (128, 256) if args.quick else (256, 512, 1024)
-    rows = experiments.dft_covariance_check(model, N_list, 0.25, 0.25)
+    rows = experiments.dft_covariance_check(cfg.model(), N_list, 0.25, 0.25)
     scaled = [row[2] for row in rows]
-    if theta == 0.0:
+    if cfg.theta == 0.0:
         cov_ok = all(row[1] <= 1e-12 for row in rows)
         cov_detail = f"white noise deviations {[f'{row[1]:.1e}' for row in rows]}"
     else:
@@ -252,10 +217,6 @@ def _cmd_validate(args) -> int:
         cov_detail = "deviation*N = " + ", ".join(f"{v:.4f}" for v in scaled)
     checks.append(("DFT covariance deviation decays like 1/N", cov_ok, cov_detail))
 
-    stride = max(1, math.ceil(values["N"] / 128))
-    cfg = ExperimentConfig(N=values["N"], B=values["B"], M=values["M"], theta=theta,
-                           grid_stride=stride, replicates=values["replicates"],
-                           seed=values["seed"], threads=values["threads"])
     passed, worst = experiments.eigenvalue_localization_check(cfg, epsilon=0.5)
     checks.append(("coherency eigenvalues inside MP support + 0.5", passed,
                    f"worst excursion {worst:.3e}"))
@@ -270,21 +231,13 @@ def _cmd_validate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     experiments.write_summary_json(
         out / "validate_summary.json",
-        {**{k: values[k] for k in ("N", "B", "M", "theta", "replicates", "seed")},
-         "quick": bool(args.quick)},
+        # threads never enter an artifact
+        {**{k: v for k, v in values.items() if k != "threads"}, "quick": bool(args.quick)},
         {"checks": {name: {"passed": bool(ok), "detail": detail} for name, ok, detail in checks},
          "all_passed": all_ok},
         artifact="validate_summary",
     )
     return EXIT_OK if all_ok else EXIT_NUMERICAL
-
-
-_HANDLERS = {
-    "sweep": _cmd_sweep,
-    "scaling": _cmd_scaling,
-    "histogram": _cmd_histogram,
-    "validate": _cmd_validate,
-}
 
 
 def run(argv=None) -> int:
@@ -294,7 +247,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
-        return _HANDLERS[args.command](args)
+        return (_cmd_validate if args.command == "validate" else _cmd_study)(args)
     except (ConfigError, InvalidArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -308,3 +261,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

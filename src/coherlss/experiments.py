@@ -20,6 +20,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import pathlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -28,9 +29,9 @@ import numpy as np
 from . import lss, spectral
 from ._version import __version__
 from .errors import ConfigError, InvalidArgumentError
-from .lss import LssConfig, assemble_psi, default_grid
+from .lss import LssConfig, assemble_psi
 from .rmt import MPModel
-from .signal import ModelSpec, TimeSeriesPanel, autocovariance, simulate_panel, spectral_density
+from .signal import ModelSpec, _check_seed, autocovariance, simulate_panel, spectral_density
 
 SWEEP_HEADER = ("nu", "lss_raw", "v_n", "r_oracle", "r_plugin", "phi", "psi", "psi_hat", "seed")
 SCALING_HEADER = (
@@ -83,44 +84,29 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        theta = self.theta
-        if isinstance(theta, complex):
-            raise ConfigError("theta must be real")
-        object.__setattr__(self, "theta", float(theta))
-        for name in ("replicates", "threads"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
-        seed = int(seed)
-        if not 0 <= seed < _U64:
-            raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-        object.__setattr__(self, "seed", seed)
-        # fail fast: both the model and the statistic config must validate,
-        # and any rejection is a configuration problem from here up
+        # fail fast: the counts, the seed, the model and the statistic config
+        # must all validate, and any rejection is a configuration problem
         try:
-            self.model()
+            for name in ("replicates", "threads"):
+                object.__setattr__(self, name, lss._check_positive_int(getattr(self, name), name))
+            object.__setattr__(self, "seed", _check_seed(self.seed))
+            object.__setattr__(self, "theta", self.model().theta)
             self.lss_config()
         except InvalidArgumentError as err:
             raise ConfigError(str(err)) from err
 
     def model(self) -> ModelSpec:
-        if self.theta == 0.0:
-            return ModelSpec.white_noise()
-        return ModelSpec.ar1(self.theta)
+        return ModelSpec("white_noise" if self.theta == 0.0 else "ar1", self.theta)
 
     def lss_config(self) -> LssConfig:
-        N = self.N
-        if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
-            raise ConfigError(f"N must be a positive integer, got {N!r}")
         return LssConfig(
-            N=int(N), B=self.B, M=self.M, alpha=self.alpha, L=self.L, f=self.f,
+            N=self.N, B=self.B, M=self.M, alpha=self.alpha, L=self.L, f=self.f,
             correction_mode=self.correction_mode,
-            grid=default_grid(int(N), self.grid_stride),
+            grid=lss.default_grid(self.N, self.grid_stride),
         )
+
+    def replicate_seeds(self) -> list[int]:
+        return [split_seed(self.seed, i) for i in range(self.replicates)]
 
     def snapshot(self) -> dict:
         """Resolved config echoed into output files (threads excluded: it
@@ -133,7 +119,7 @@ class ExperimentConfig:
             "L": cfg.L,
             "f": cfg.f.label,
             "correction_mode": self.correction_mode,
-            "grid_stride": self.grid_stride if self.grid_stride is not None else max(1, math.ceil(self.N / 512)),
+            "grid_stride": lss.grid_stride(self.N, self.grid_stride),
             "grid_size": len(cfg.grid),
             "c_n": cfg.c_N,
             "replicates": self.replicates,
@@ -163,6 +149,16 @@ def _replicate(model: ModelSpec, lcfg: LssConfig, seed: int):
     return sw, psi, psi_hat
 
 
+def _replicates(cfg: ExperimentConfig) -> list:
+    """_replicate at each of cfg's replicate seeds, in seed order."""
+    lcfg = cfg.lss_config()
+    # cache phi and the MP integral before the workers start
+    lss.phi_value(lcfg.c_N, lcfg.f)
+    lss.mp_integral_value(lcfg.c_N, lcfg.f)
+    return _parallel_map(functools.partial(_replicate, cfg.model(), lcfg),
+                         cfg.replicate_seeds(), cfg.threads)
+
+
 def _sups(sw, psi, psi_hat) -> tuple:
     """sup |lss_raw|, sup |psi| and sup |psi_hat| of one replicate."""
     return tuple(lss.sup_abs(sw.nu, x)[0] for x in (sw.lss_raw, psi, psi_hat))
@@ -176,19 +172,12 @@ class SweepResult:
     summary: dict
 
 
-def frequency_sweep(cfg: ExperimentConfig, seeds=None, threads: int | None = None) -> SweepResult:
+def frequency_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Raw statistic and both corrections on the grid, per seed and averaged."""
     lcfg = cfg.lss_config()
-    model = cfg.model()
-    if seeds is None:
-        seeds = [split_seed(cfg.seed, i) for i in range(cfg.replicates)]
-    seeds = list(seeds)
-    threads = cfg.threads if threads is None else threads
+    reps = _replicates(cfg)
     vn = lss.v_n(cfg.B, cfg.N)
     phi = lss.phi_value(lcfg.c_N, lcfg.f)
-    lss.mp_integral_value(lcfg.c_N, lcfg.f)
-
-    reps = _parallel_map(functools.partial(_replicate, model, lcfg), seeds, threads)
     records = tuple(
         RunRecord(
             seed=seed,
@@ -197,7 +186,7 @@ def frequency_sweep(cfg: ExperimentConfig, seeds=None, threads: int | None = Non
                            psi.tolist(), psi_hat.tolist(), itertools.repeat(seed))),
             floored=int(sw.floored.sum()),
         )
-        for seed, (sw, psi, psi_hat) in zip(seeds, reps)
+        for seed, (sw, psi, psi_hat) in zip(cfg.replicate_seeds(), reps)
     )
 
     n_grid = len(lcfg.grid)
@@ -239,8 +228,10 @@ class ScalingResult:
 
 def scaling_geometry(M: int, alpha: float, c_target: float) -> tuple[int, int]:
     """Smallest even B with M/(B+1) <= c_target, and N = round(B^(1/alpha))."""
-    if not 0.0 < c_target < 1.0:
-        raise ConfigError(f"c_target must lie in (0, 1), got {c_target}")
+    alpha = lss.check_alpha(alpha)
+    if isinstance(c_target, bool) or not isinstance(c_target, numbers.Real) \
+            or not 0.0 < c_target < 1.0:
+        raise ConfigError(f"c_target must lie in (0, 1), got {c_target!r}")
     B = max(2, math.ceil(M / c_target) - 1)
     if B % 2:
         B += 1
@@ -251,21 +242,26 @@ def scaling_geometry(M: int, alpha: float, c_target: float) -> tuple[int, int]:
 def scaling_study(M_list, alpha: float = 0.8, c_target: float = 0.5, theta: float = 0.4,
                   f: str = "square_centered", L: int | None = None, replicates: int = 10,
                   seed: int = 0, threads: int = 1, grid_stride: int | None = None) -> ScalingResult:
-    """Median sup statistics across M, with (N/B)^2 and (N/B)^3 rescalings."""
+    """Median sup statistics across M, with (N/B)^2 and (N/B)^3 rescalings.
+
+    Every M's configuration is validated before the first replicate runs.
+    """
+    if not isinstance(M_list, (list, tuple)) or not M_list or not all(
+            isinstance(M, numbers.Integral) and not isinstance(M, bool) for M in M_list):
+        raise ConfigError(f"M_list must be a nonempty list of positive integers, got {M_list!r}")
     M_list = [int(M) for M in M_list]
-    if not M_list:
-        raise ConfigError("M_list must be nonempty")
-    model = ModelSpec.white_noise() if theta == 0.0 else ModelSpec.ar1(theta)
-    seeds = [split_seed(seed, i) for i in range(replicates)]
-    rows = []
+    configs = []
     for M in M_list:
         B, N = scaling_geometry(M, alpha, c_target)
-        lcfg = LssConfig(N=N, B=B, M=M, alpha=alpha, L=L, f=f,
-                         correction_mode="oracle", grid=default_grid(N, grid_stride))
-        lss.phi_value(lcfg.c_N, lcfg.f)  # cache phi before the workers start
-        reps = _parallel_map(functools.partial(_replicate, model, lcfg), seeds, threads)
-        sups = np.array([_sups(*rep) + (float(np.max(rep[1])),) for rep in reps], dtype=float)
+        configs.append(ExperimentConfig(
+            N=N, B=B, M=M, theta=theta, alpha=alpha, L=L, f=f, correction_mode="oracle",
+            grid_stride=grid_stride, replicates=replicates, seed=seed, threads=threads))
+    rows = []
+    for cfg in configs:
+        sups = np.array([_sups(*rep) + (float(np.max(rep[1])),) for rep in _replicates(cfg)],
+                        dtype=float)
         med = np.median(sups, axis=0)
+        M, B, N = cfg.M, cfg.B, cfg.N
         ratio = N / B
         rows.append({
             "M": M, "B": B, "N": N, "c_n": M / (B + 1),
@@ -291,10 +287,11 @@ def scaling_study(M_list, alpha: float = 0.8, c_target: float = 0.5, theta: floa
             "psi_x3_bounded": all(1.0 / 3.0 <= r <= 3.0 for r in psi_x3_ratios),
         },
     }
+    first = configs[0]
     config = {
         "M_list": M_list, "alpha": float(alpha), "c_target": float(c_target),
-        "theta": float(theta), "f": f if isinstance(f, str) else f.label, "L": L,
-        "grid_stride": grid_stride, "replicates": int(replicates), "seed": int(seed),
+        "theta": first.theta, "f": first.lss_config().f.label, "L": L,
+        "grid_stride": grid_stride, "replicates": first.replicates, "seed": first.seed,
     }
     return ScalingResult(config=config, rows=tuple(rows), summary=summary)
 
@@ -306,21 +303,10 @@ class HistogramResult:
     summary: dict
 
 
-def histogram_study(cfg: ExperimentConfig, R: int | None = None) -> HistogramResult:
-    """Empirical distribution of the three sup statistics over R replicates."""
-    R = cfg.replicates if R is None else int(R)
-    if R < 1:
-        raise ConfigError(f"replicate count must be >= 1, got {R}")
-    lcfg = cfg.lss_config()
-    model = cfg.model()
-    # cache phi and the MP integral before the workers start
-    lss.phi_value(lcfg.c_N, lcfg.f)
-    lss.mp_integral_value(lcfg.c_N, lcfg.f)
-    seeds = [split_seed(cfg.seed, i) for i in range(R)]
-
-    reps = _parallel_map(functools.partial(_replicate, model, lcfg), seeds, cfg.threads)
-    sups = [_sups(*rep) for rep in reps]
-    rows = tuple((i, seeds[i]) + sups[i] for i in range(R))
+def histogram_study(cfg: ExperimentConfig) -> HistogramResult:
+    """Empirical distribution of the three sup statistics over the replicates."""
+    sups = [_sups(*rep) for rep in _replicates(cfg)]
+    rows = tuple((i, seed) + sup for i, (seed, sup) in enumerate(zip(cfg.replicate_seeds(), sups)))
     arr = np.array(sups, dtype=float)
     quantiles = {}
     for j, name in enumerate(("sup_raw", "sup_psi", "sup_psi_hat")):
@@ -330,18 +316,17 @@ def histogram_study(cfg: ExperimentConfig, R: int | None = None) -> HistogramRes
     med_psi = quantiles["sup_psi"]["q50"]
     med_psi_hat = quantiles["sup_psi_hat"]["q50"]
     summary = {
-        "replicates": R,
+        "replicates": cfg.replicates,
         "quantiles": quantiles,
         "flags": {
             "psi_median_below_raw": med_psi < med_raw,
             "plugin_sup_within_2x": med_psi_hat <= 2.0 * med_psi,
         },
     }
-    config = dict(cfg.snapshot(), replicates=R)
-    return HistogramResult(config=config, rows=rows, summary=summary)
+    return HistogramResult(config=cfg.snapshot(), rows=rows, summary=summary)
 
 
-def eigenvalue_localization_check(cfg: ExperimentConfig, seeds=None, epsilon: float = 0.5):
+def eigenvalue_localization_check(cfg: ExperimentConfig, epsilon: float = 0.5):
     """Largest excursion of any coherency eigenvalue beyond the MP support.
 
     Returns (passed, worst_excursion); failure is an outcome, not an error.
@@ -350,8 +335,6 @@ def eigenvalue_localization_check(cfg: ExperimentConfig, seeds=None, epsilon: fl
         raise InvalidArgumentError(f"epsilon must be positive, got {epsilon}")
     lcfg = cfg.lss_config()
     model = cfg.model()
-    if seeds is None:
-        seeds = [split_seed(cfg.seed, i) for i in range(cfg.replicates)]
     mp = MPModel(lcfg.c_N)
     lm, lp = mp.lambda_minus, mp.lambda_plus
 
@@ -363,8 +346,7 @@ def eigenvalue_localization_check(cfg: ExperimentConfig, seeds=None, epsilon: fl
             worst = max(worst, lm - float(eigs[0]), float(eigs[-1]) - lp)
         return worst
 
-    worst = max(_parallel_map(one, list(seeds), cfg.threads), default=0.0)
-    worst = max(worst, 0.0)
+    worst = max(max(_parallel_map(one, cfg.replicate_seeds(), cfg.threads)), 0.0)
     return worst <= epsilon, worst
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -53,17 +54,29 @@ def _check_positive_int(value, name: str) -> int:
     return value
 
 
+def check_alpha(alpha) -> float:
+    """The growth exponent of B = N^alpha as a float in (1/2, 1)."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.5 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (1/2, 1), got {alpha!r}")
+    return float(alpha)
+
+
 def default_lag_window_size(N: int, gamma0: int = 3) -> int:
     """Bandwidth L = round(N^(1/(2*gamma0+1))) for a model of smoothness gamma0."""
     return max(1, int(round(N ** (1.0 / (2 * gamma0 + 1)))))
 
 
+def grid_stride(N: int, stride: int | None = None) -> int:
+    """The validated stride, by default the smallest keeping <= 512 points."""
+    if stride is None:
+        return max(1, math.ceil(N / _DEFAULT_GRID_SIZE))
+    return _check_positive_int(stride, "grid stride")
+
+
 def default_grid(N: int, stride: int | None = None) -> tuple:
     """Fourier frequencies k*stride/N, stride keeping the grid at <= 512 points."""
-    if stride is None:
-        stride = max(1, math.ceil(N / _DEFAULT_GRID_SIZE))
-    stride = _check_positive_int(stride, "grid stride")
-    return tuple(float(k) / N for k in range(0, N, stride))
+    N = _check_positive_int(N, "N")
+    return tuple(float(k) / N for k in range(0, N, grid_stride(N, stride)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,10 +115,7 @@ class LssConfig:
         alpha = self.alpha
         if alpha is None:
             alpha = math.log(B) / math.log(N)
-        alpha = float(alpha)
-        if not 0.5 < alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (1/2, 1), got {alpha:.6g}")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", check_alpha(alpha))
 
         L = self.L
         if L is None:
@@ -170,9 +180,13 @@ class LssRecord:
 
 
 def hermitian_eigenvalues(A) -> np.ndarray:
-    """Ascending eigenvalues; rejects inputs that are not Hermitian to 1e-10."""
+    """Ascending eigenvalues; rejects inputs that are not Hermitian to 1e-10.
+
+    A SpectralMatrix is trusted: its constructor checked it to 1e-12 and its
+    values are read-only.
+    """
     if isinstance(A, spectral.SpectralMatrix):
-        A = A.values
+        return np.linalg.eigvalsh(A.values)
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {A.shape}")

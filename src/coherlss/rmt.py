@@ -38,6 +38,8 @@ TRANSFORM_NAMES = ("p", "p_tilde")
 
 _AXIS_NUDGE = 1e-12
 _INVERSION_YS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+_QUAD_MAX_ERROR = 1e-7  # quad's own error estimate, as in mp_integral
+_RICHARDSON_MAX_GAP = 1e-3  # between the last two extrapolants
 _CONTOUR_NODES = 2048
 _CONTOUR_HALF_HEIGHT = 0.5
 _MARGIN = 0.1
@@ -164,7 +166,7 @@ def mp_integral(model: MPModel, f: SpectralFunction) -> float:
         return float(f(lam)) * scale * math.cos(t) ** 2 / lam
 
     value, err = quad(integrand, -np.pi / 2.0, np.pi / 2.0, epsabs=1e-10, epsrel=1e-10, limit=200)
-    if not np.isfinite(value) or err > 1e-7:
+    if not np.isfinite(value) or err > _QUAD_MAX_ERROR:
         raise NumericalFailureError(f"MP quadrature did not converge (error estimate {err:.2e})")
     return float(value)
 
@@ -174,7 +176,7 @@ def _mp_branch(c: float, z: np.ndarray) -> np.ndarray:
 
     Stable quadratic formula; the second root comes from t1 t2 = 1/(cz).
     Entries where the sign test fails (it should not) fall back to 8
-    fixed-point iterations from t0 = -1/z.
+    fixed-point iterations from t0 = -1/z, which must reach Im t > 0.
     """
     a = c * z
     b = z - 1.0 + c
@@ -189,6 +191,8 @@ def _mp_branch(c: float, z: np.ndarray) -> np.ndarray:
         tb = -1.0 / z
         for _ in range(8):
             tb = 1.0 / (-z + 1.0 / (1.0 + c * tb))
+        if not np.all(tb[bad].imag > 0.0):
+            raise NumericalFailureError("Stieltjes fallback iteration left Im t <= 0")
         t = np.where(bad, tb, t)
     return t
 
@@ -280,13 +284,20 @@ def _action_inversion(model, f, which, a1, a2) -> float:
             val = _correction_transform(model, np.asarray(lam + 1j * y, dtype=complex), which)
             return float(f(lam)) * float(val.imag)
 
-        v, _ = quad(integrand, a1, a2, points=[lm, lp], limit=400, epsabs=1e-10, epsrel=1e-10)
+        v, err = quad(integrand, a1, a2, points=[lm, lp], limit=400, epsabs=1e-10, epsrel=1e-10)
+        if not err <= _QUAD_MAX_ERROR:
+            raise NumericalFailureError(
+                f"inversion quadrature at y={y:g} did not converge (error estimate {err:.2e})")
         return v / np.pi
 
     table = [level(y) for y in _INVERSION_YS]
     for j in range(1, len(table)):
+        gap = abs(table[1] - table[0])  # on the last pass: the last two extrapolants
         weight = 2.0 ** j
         table = [(weight * table[k + 1] - table[k]) / (weight - 1.0) for k in range(len(table) - 1)]
+    if not gap <= _RICHARDSON_MAX_GAP:
+        raise NumericalFailureError(
+            f"Richardson extrapolation did not converge (last two extrapolants {gap:.1e} apart)")
     return float(table[0])
 
 

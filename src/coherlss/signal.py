@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 from scipy.signal import lfilter
@@ -22,8 +23,8 @@ _SEED_MODULUS = 2**64
 
 
 def _check_seed(seed) -> int:
-    if not isinstance(seed, (int, np.integer)):
-        raise InvalidArgumentError(f"seed must be an integer, got {type(seed).__name__}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
     seed = int(seed)
     if not 0 <= seed < _SEED_MODULUS:
         raise InvalidArgumentError("seed must fit in an unsigned 64-bit integer")
@@ -50,8 +51,8 @@ class ModelSpec:
             raise InvalidArgumentError(
                 f"kind must be one of {MODEL_KINDS}, got {self.kind!r}"
             )
-        if isinstance(self.theta, complex):
-            raise InvalidArgumentError("complex theta is not supported")
+        if isinstance(self.theta, bool) or not isinstance(self.theta, numbers.Real):
+            raise InvalidArgumentError(f"theta must be a real number, got {self.theta!r}")
         theta = float(self.theta)
         object.__setattr__(self, "theta", theta)
         if self.kind == "white_noise" and theta != 0.0:
@@ -76,9 +77,21 @@ class ModelSpec:
         return self.theta == 0.0
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a validated array: no copy, and the caller's
+    array keeps its own flags."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclasses.dataclass(frozen=True)
 class TimeSeriesPanel:
-    """M x N complex sample matrix with its generating model and seed."""
+    """M x N complex sample matrix with its generating model and seed.
+
+    ``data`` is a read-only view, so the validated samples cannot be
+    changed through the panel.
+    """
 
     data: np.ndarray
     model: ModelSpec
@@ -90,7 +103,7 @@ class TimeSeriesPanel:
             raise InvalidArgumentError(f"panel data must be M x N with M, N >= 1, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
             raise InvalidArgumentError("panel data must be finite (no NaN or inf)")
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _read_only(data))
         object.__setattr__(self, "seed", _check_seed(self.seed))
 
     @property

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 
 from .errors import DegenerateSpectrumError, InvalidArgumentError
-from .signal import TimeSeriesPanel
+from .signal import TimeSeriesPanel, _read_only
 
 SPECTRAL_KINDS = ("smoothed_periodogram", "coherency")
 
@@ -23,7 +23,10 @@ _GRID_TOL = 1e-9
 
 @dataclasses.dataclass(frozen=True)
 class SpectralMatrix:
-    """M x M Hermitian spectral estimate at one frequency, tagged (nu, B)."""
+    """M x M Hermitian spectral estimate at one frequency, tagged (nu, B).
+
+    ``values`` is a read-only view of the validated matrix.
+    """
 
     values: np.ndarray
     nu: float
@@ -48,7 +51,7 @@ class SpectralMatrix:
                 raise InvalidArgumentError("coherency matrix must have unit diagonal")
             if np.max(np.abs(values)) > 1.0 + 1e-12:
                 raise InvalidArgumentError("coherency entries must satisfy |C_ij| <= 1")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _read_only(values))
         object.__setattr__(self, "nu", float(self.nu))
         object.__setattr__(self, "B", int(self.B))
 

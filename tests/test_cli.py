@@ -1,9 +1,13 @@
 """Exit codes, config merging, and byte-stable artifacts of the CLI."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
+import coherlss
+from coherlss import rmt
 from coherlss.cli import EXIT_CONFIG, EXIT_OK, run
 
 
@@ -17,6 +21,14 @@ def test_console_script_installed():
                          capture_output=True, text=True)
     assert out.returncode == 0 or "coherlss" in out.stdout
     out = subprocess.run(["coherlss", "--version"], capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stdout.startswith("coherlss ")
+
+
+def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(coherlss.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "coherlss.cli", "--version"],
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert out.stdout.startswith("coherlss ")
 
@@ -137,3 +149,18 @@ def test_scaling_rejects_sweep_only_keys(tmp_path, capsys):
     code = run(["scaling", "--quick", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "N" in capsys.readouterr().err
+
+
+def test_scaling_zero_replicates_is_config_error(tmp_path, capsys):
+    code = run(["scaling", "--quick", "--replicates", "0", "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_validate_rejects_config_before_quadrature(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(rmt, "distribution_action", lambda *args, **kwargs: calls.append(args))
+    code = run(["validate", "--quick", "--B", "95", "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert calls == []

@@ -1,5 +1,6 @@
 """Monte Carlo drivers, seed derivation, and artifact writers."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -60,6 +61,10 @@ def test_experiment_config_validation():
         _quick_cfg(B=31)
     with pytest.raises(ConfigError):
         _quick_cfg(theta=1.0)
+    # non-numeric values, as a JSON config file can give them
+    for bad in ({"theta": "0.4"}, {"theta": None}, {"theta": 0j}, {"alpha": "0.75"}):
+        with pytest.raises(ConfigError):
+            _quick_cfg(**bad)
     # a paper-scale configuration validates without simulating
     ExperimentConfig(N=10119, B=1600, M=800, theta=0.4, L=21, replicates=800)
 
@@ -91,7 +96,7 @@ def test_frequency_sweep_deterministic_and_parallel_invariant():
     r2 = frequency_sweep(cfg)
     assert r1.records[0].rows == r2.records[0].rows
     assert r1.summary == r2.summary
-    r3 = frequency_sweep(cfg, threads=3)
+    r3 = frequency_sweep(dataclasses.replace(cfg, threads=3))
     for a, b in zip(r1.records, r3.records):
         assert a.rows == b.rows
 
@@ -152,6 +157,17 @@ def test_scaling_study_small():
     }
 
 
+@pytest.mark.parametrize("bad", [
+    {"replicates": 0}, {"seed": -1}, {"threads": 0}, {"M_list": ["a"]}, {"M_list": [2.7]},
+    {"alpha": None}, {"c_target": "0.5"},
+])
+def test_scaling_study_validates_its_config(bad):
+    kwargs = dict(M_list=[8], replicates=1, grid_stride=16)
+    kwargs.update(bad)
+    with pytest.raises(ConfigError):
+        scaling_study(**kwargs)
+
+
 # --- histogram ----------------------------------------------------------------
 
 
@@ -161,7 +177,7 @@ def test_histogram_study_quantiles():
     assert len(res.rows) == 5
     sup_raw = sorted(row[2] for row in res.rows)
     assert res.summary["quantiles"]["sup_raw"]["q50"] == pytest.approx(sup_raw[2])
-    one = histogram_study(cfg, R=1)
+    one = histogram_study(dataclasses.replace(cfg, replicates=1))
     qs = one.summary["quantiles"]["sup_psi"]
     assert qs["q05"] == qs["q50"] == qs["q95"]
 

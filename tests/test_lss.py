@@ -349,14 +349,14 @@ def test_entry_points_agree_exactly(mode):
     # evaluation path, so they give the same bits at a grid frequency
     import dataclasses
 
-    from coherlss import ExperimentConfig, frequency_sweep, sweep_panel
+    from coherlss import ExperimentConfig, frequency_sweep, split_seed, sweep_panel
 
-    seed = 12
-    cfg = ExperimentConfig(N=512, B=96, M=48, theta=0.4, grid_stride=16, correction_mode=mode)
+    cfg = ExperimentConfig(N=512, B=96, M=48, theta=0.4, grid_stride=16, correction_mode=mode,
+                           seed=12)
     lcfg = cfg.lss_config()
-    panel = simulate_panel(cfg.model(), 48, 512, seed=seed)
+    panel = simulate_panel(cfg.model(), 48, 512, seed=split_seed(cfg.seed, 0))
     sweep = sweep_panel(panel, lcfg)
-    rows = frequency_sweep(cfg, seeds=[seed]).records[0].rows
+    rows = frequency_sweep(cfg).records[0].rows
     _, _, records = sup_over_grid(panel, lcfg)
     r_sweep = sweep.r_oracle if mode == "oracle" else sweep.r_plugin
     r_col, psi_col = (3, 6) if mode == "oracle" else (4, 7)

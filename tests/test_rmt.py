@@ -10,6 +10,7 @@ from coherlss import (
     DomainError,
     InvalidArgumentError,
     MPModel,
+    NumericalFailureError,
     SpectralFunction,
     distribution_action,
     mp_density,
@@ -20,6 +21,7 @@ from coherlss import (
     p_tilde_stieltjes,
     spectral_function,
 )
+from coherlss import rmt
 
 
 def _moment_oracle(c, k):
@@ -223,3 +225,32 @@ def test_action_cache_consistency():
     first = distribution_action("p", m, f)
     second = distribution_action("p", m, f)
     assert first == second
+
+
+def _sine(k):
+    return SpectralFunction.from_callable(lambda x: np.sin(k * np.asarray(x)), label=f"sin({k}x)")
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_inversion_rejects_unconverged_quadrature():
+    # 2000 radians per unit of lambda: quad's error estimate is about 0.1
+    with pytest.raises(NumericalFailureError, match="quadrature"):
+        distribution_action("p", MPModel(0.5), _sine(2000), method="inversion")
+
+
+def test_inversion_rejects_unconverged_extrapolation():
+    # oscillation on the scale of the heights y: the last two Richardson
+    # extrapolants differ by about 8e-3
+    with pytest.raises(NumericalFailureError, match="Richardson"):
+        distribution_action("p", MPModel(0.5), _sine(600), method="inversion")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_branch_fallback_must_reach_upper_half_plane():
+    # on the real axis outside the support both roots are real, so the sign
+    # test fails and the fixed-point fallback stays real
+    with pytest.raises(NumericalFailureError, match="fallback"):
+        rmt._mp_branch(0.5, np.array([5.0 + 0.0j]))
+    # a NaN argument used to come back as a NaN transform
+    with pytest.raises(NumericalFailureError):
+        mp_stieltjes(MPModel(0.5), complex(np.nan, 1.0))

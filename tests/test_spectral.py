@@ -216,3 +216,18 @@ def test_lag_window_estimates_white_density():
     s, sp = lag_window_grid(lags, np.array([0.2]))
     assert abs(np.mean(s[:, 0]) - 1.0) < 0.02
     assert abs(np.mean(sp[:, 0])) < 0.5
+
+
+def test_validated_arrays_are_read_only():
+    # a validated panel or matrix cannot be changed through the object, so
+    # the eigensolver never sees data that skipped validation
+    data = np.ones((3, 8), dtype=np.complex128)
+    panel = TimeSeriesPanel(data, ModelSpec.white_noise(), 0)
+    assert data.flags.writeable  # the caller's array keeps its flags
+    assert np.shares_memory(panel.data, data)  # and is not copied
+    with pytest.raises(ValueError, match="read-only"):
+        panel.data[1, 4] = np.nan
+    panel = simulate_panel(ModelSpec.ar1(0.4), 16, 256, 0)
+    C = coherency_matrix(smoothed_periodogram(panel, 0.25, 48))
+    with pytest.raises(ValueError, match="read-only"):
+        C.values[0, 1] = 2.0
