@@ -340,9 +340,10 @@ def eigenvalue_localization_check(cfg: ExperimentConfig, epsilon: float = 0.5):
 
     def one(sd: int) -> float:
         panel = simulate_panel(model, cfg.M, cfg.N, sd)
+        table = spectral.dft_grid(panel)
         worst = 0.0
-        for C in lss.coherencies(panel, lcfg.grid, cfg.B, spectral.dft_grid(panel)):
-            eigs = lss.hermitian_eigenvalues(C)
+        for nu in lcfg.grid:
+            eigs = lss.triangle_eigenvalues(spectral.coherency_triangle(panel, nu, cfg.B, table))
             worst = max(worst, lm - float(eigs[0]), float(eigs[-1]) - lp)
         return worst
 

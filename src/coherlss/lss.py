@@ -25,6 +25,7 @@ import numbers
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import eigh
 
 from . import rmt, spectral
 from .errors import (
@@ -32,6 +33,7 @@ from .errors import (
     DegenerateEstimateError,
     DomainError,
     InvalidArgumentError,
+    NumericalFailureError,
 )
 from .rmt import MPModel, SpectralFunction, spectral_function
 from .signal import ModelSpec, TimeSeriesPanel, spectral_density, spectral_density_derivative
@@ -196,10 +198,9 @@ def hermitian_eigenvalues(A) -> np.ndarray:
     return np.linalg.eigvalsh(A)
 
 
-def trace_functional(C, f) -> float:
-    """(1/M) sum_i f(lambda_i(C)).  log demands eigenvalues > 1e-12, loudly."""
-    f = spectral_function(f)
-    eigs = hermitian_eigenvalues(C)
+def _mean_f(eigs: np.ndarray, f: SpectralFunction) -> float:
+    """(1/M) sum_i f(lambda_i) of ascending eigenvalues; log demands
+    eigenvalues > 1e-12, loudly."""
     if f.positive_domain:
         low = float(eigs[0])
         if low <= _LOG_EIG_FLOOR:
@@ -208,6 +209,11 @@ def trace_functional(C, f) -> float:
                 value=low,
             )
     return float(np.mean(f(eigs)))
+
+
+def trace_functional(C, f) -> float:
+    """(1/M) sum_i f(lambda_i(C)).  log demands eigenvalues > 1e-12, loudly."""
+    return _mean_f(hermitian_eigenvalues(C), spectral_function(f))
 
 
 def v_n(B: int, N: int) -> float:
@@ -281,19 +287,41 @@ def assemble_psi(lss_raw, r_term, phi: float, vn: float, active: bool):
     return lss_raw - r_term * phi * vn * (1.0 if active else 0.0)
 
 
-def coherencies(panel: TimeSeriesPanel, nus, B: int, table: np.ndarray | None = None):
-    """Yield the coherency matrix C(nu) at each frequency in turn.
+def triangle_eigenvalues(c: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian matrix whose upper triangle is
+    c, which it may overwrite; through scipy's LAPACK, as in
+    spectral.periodogram_triangle."""
+    return eigh(c, lower=False, eigvals_only=True, overwrite_a=True, check_finite=False,
+                driver="evd")
 
-    Pass a dft_grid table to share one FFT across on-grid frequencies;
-    without one, each frequency computes its own DFT columns.
+
+def _raw_at(c: np.ndarray, f: SpectralFunction, mp_val: float) -> float:
+    """lss_raw from the upper triangle of a coherency matrix, strict lower
+    triangle zero; overwrites c."""
+    m = c.shape[0]
+    if f.kind == "square_centered":
+        # a unit diagonal gives (1/M) tr (C - I)^2 = (2/M) ||triu(C, 1)||_F^2
+        np.fill_diagonal(c, 0.0)
+        x = c.ravel(order="K").view(np.float64)
+        value = 2.0 * float(np.sum(x * x)) / m
+    else:
+        value = _mean_f(triangle_eigenvalues(c), f)
+    raw = value - mp_val
+    if not math.isfinite(raw):
+        raise NumericalFailureError(f"non-finite {f.label} statistic {raw!r}")
+    return raw
+
+
+def _raw_grid(panel: TimeSeriesPanel, cfg: LssConfig, nus: np.ndarray,
+              table: np.ndarray | None = None) -> np.ndarray:
+    """lss_raw at each frequency, each from its own window alone, so a
+    frequency gets the same bits on any grid and from psi_at.
+
+    Pass a dft_grid table to share one FFT across on-grid frequencies.
     """
-    for nu in nus:
-        yield spectral.coherency_matrix(spectral.smoothed_periodogram(panel, float(nu), B, grid=table))
-
-
-def _lss_raw(cfg: LssConfig, matrices) -> np.ndarray:
     mp_val = mp_integral_value(cfg.c_N, cfg.f)
-    return np.array([trace_functional(C, cfg.f) - mp_val for C in matrices])
+    return np.array([_raw_at(spectral.coherency_triangle(panel, nu, cfg.B, table), cfg.f, mp_val)
+                     for nu in nus.tolist()])
 
 
 def sup_abs(nu: np.ndarray, values) -> tuple[float, float]:
@@ -350,7 +378,7 @@ def psi_at(source, cfg: LssConfig, nu: float, model: ModelSpec | None = None) ->
         _check_panel_matches(panel, cfg)
         if model is None:
             model = panel.model
-        matrices = coherencies(panel, nus, cfg.B)
+        raw = _raw_grid(panel, cfg, nus)
     elif isinstance(source, spectral.SpectralMatrix):
         C = source
         if C.kind != "coherency":
@@ -363,10 +391,10 @@ def psi_at(source, cfg: LssConfig, nu: float, model: ModelSpec | None = None) ->
             raise InvalidArgumentError(
                 f"matrix is {C.values.shape[0]} x {C.values.shape[0]}, config expects M={cfg.M}"
             )
-        matrices = [C]
+        raw = np.array([_raw_at(np.triu(C.values), cfg.f, mp_integral_value(cfg.c_N, cfg.f))])
     else:
         raise InvalidArgumentError("source must be a TimeSeriesPanel or a coherency SpectralMatrix")
-    return _records(cfg, nus, _lss_raw(cfg, matrices), panel, model)[0]
+    return _records(cfg, nus, raw, panel, model)[0]
 
 
 class Sweep(NamedTuple):
@@ -384,7 +412,7 @@ def sweep_panel(panel: TimeSeriesPanel, cfg: LssConfig) -> Sweep:
     """Evaluate the whole grid with shared DFT and lag-window tables."""
     _check_panel_matches(panel, cfg)
     nus = cfg.grid_array
-    raw = _lss_raw(cfg, coherencies(panel, nus, cfg.B, spectral.dft_grid(panel)))
+    raw = _raw_grid(panel, cfg, nus, spectral.dft_grid(panel))
     r_hat, floored = r_hat_grid(panel, cfg.L, nus)
     return Sweep(nus, raw, r_n_true(panel.model, cfg.M, nus), r_hat, floored)
 
@@ -393,7 +421,7 @@ def sup_over_grid(panel: TimeSeriesPanel, cfg: LssConfig) -> tuple[float, float,
     """(max |psi| over the grid, its frequency, all records)."""
     _check_panel_matches(panel, cfg)
     nus = cfg.grid_array
-    raw = _lss_raw(cfg, coherencies(panel, nus, cfg.B, spectral.dft_grid(panel)))
+    raw = _raw_grid(panel, cfg, nus, spectral.dft_grid(panel))
     records = _records(cfg, nus, raw, panel, panel.model)
     best, best_nu = sup_abs(nus, [rec.psi for rec in records])
     return best, best_nu, records

@@ -11,8 +11,9 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from scipy.linalg.blas import zgemm, zherk
 
-from .errors import DegenerateSpectrumError, InvalidArgumentError
+from .errors import DegenerateSpectrumError, InvalidArgumentError, NumericalFailureError
 from .signal import TimeSeriesPanel, _read_only
 
 SPECTRAL_KINDS = ("smoothed_periodogram", "coherency")
@@ -39,6 +40,8 @@ class SpectralMatrix:
             raise InvalidArgumentError(f"values must be square, got shape {values.shape}")
         if self.kind not in SPECTRAL_KINDS:
             raise InvalidArgumentError(f"kind must be one of {SPECTRAL_KINDS}, got {self.kind!r}")
+        if not np.all(np.isfinite(values)):
+            raise InvalidArgumentError("values must be finite")
         scale = np.linalg.norm(values)
         herm_defect = np.linalg.norm(values - values.conj().T)
         if herm_defect > _HERM_RTOL * max(scale, 1e-300):
@@ -82,14 +85,21 @@ def _check_even_span(B: int) -> int:
     return int(B)
 
 
-def smoothed_periodogram(
+def periodogram_triangle(
     panel: TimeSeriesPanel, nu: float, B: int, grid: np.ndarray | None = None
-) -> SpectralMatrix:
-    """Average of B+1 rank-one DFT outer products at nu + b/N (mod 1).
+) -> np.ndarray:
+    """Upper triangle of the smoothed periodogram W W^H / (B+1) at nu.
 
-    On the Fourier grid the columns come from the FFT table (pass a
-    precomputed dft_grid output as ``grid`` to reuse it across frequencies);
-    off the grid each column is an O(N) direct sum.
+    W holds the B+1 DFT columns at nu + b/N (mod 1), b = -B/2..B/2. On the
+    Fourier grid they come from the FFT table (pass a precomputed dft_grid
+    output as ``grid`` to reuse it across frequencies); off the grid each
+    column is an O(N) direct sum. One Hermitian rank-(B+1) update forms the
+    upper triangle only; the strict lower triangle is zero.
+
+    Per-frequency BLAS and LAPACK calls (here and in lss) all go to scipy's
+    library: numpy and scipy each bundle their own threaded OpenBLAS, and
+    alternating between the two leaves one's idle threads spinning against
+    the other's work.
     """
     B = _check_even_span(B)
     n = panel.N
@@ -103,16 +113,21 @@ def smoothed_periodogram(
     else:
         freqs = nu + offsets / n
         phases = np.exp(-2j * np.pi * np.outer(np.arange(n), freqs)) / np.sqrt(n)
-        w = panel.data @ phases
-    s = w @ w.conj().T / (B + 1)
-    s = 0.5 * (s + s.conj().T)
-    return SpectralMatrix(values=s, nu=nu % 1.0, B=B, kind="smoothed_periodogram")
+        w = zgemm(1.0, panel.data.T, phases.T, trans_a=1, trans_b=1)
+    s = zherk(1.0 / (B + 1), w)
+    # a NaN or inf anywhere in W reaches its row's diagonal entry, and a
+    # finite diagonal bounds every entry (|S_ij|^2 <= S_ii S_jj)
+    if not np.all(np.isfinite(s.diagonal())):
+        raise NumericalFailureError(
+            f"non-finite smoothed periodogram at nu={nu}; the panel data holds NaN or inf"
+        )
+    return s
 
 
-def coherency_matrix(S: SpectralMatrix) -> SpectralMatrix:
-    """diag(S)^{-1/2} S diag(S)^{-1/2}: unit diagonal, |entries| <= 1, PSD."""
-    values = S.values
-    diag = values.diagonal().real
+def _normalize_upper(s: np.ndarray) -> np.ndarray:
+    """diag(S)^{-1/2} S diag(S)^{-1/2} in place on an upper triangle, with an
+    exactly unit diagonal."""
+    diag = s.diagonal().real
     if np.any(diag <= 0.0):
         worst = float(diag.min())
         raise DegenerateSpectrumError(
@@ -120,10 +135,40 @@ def coherency_matrix(S: SpectralMatrix) -> SpectralMatrix:
             "the smoothing span B+1 is too small or the input is degenerate"
         )
     inv_root = 1.0 / np.sqrt(diag)
-    c = values * np.outer(inv_root, inv_root)
-    c = 0.5 * (c + c.conj().T)
-    np.fill_diagonal(c, 1.0)
-    return SpectralMatrix(values=c, nu=S.nu, B=S.B, kind="coherency")
+    s *= np.outer(inv_root, inv_root)
+    np.fill_diagonal(s, 1.0)
+    return s
+
+
+def coherency_triangle(
+    panel: TimeSeriesPanel, nu: float, B: int, grid: np.ndarray | None = None
+) -> np.ndarray:
+    """Upper triangle of the coherency matrix at nu (strict lower part zero),
+    unvalidated; coherency_matrix is the checked public form."""
+    return _normalize_upper(periodogram_triangle(panel, nu, B, grid))
+
+
+def _hermitian_from_upper(u: np.ndarray) -> np.ndarray:
+    strict = np.triu(u, 1)
+    full = strict + strict.conj().T
+    np.fill_diagonal(full, u.diagonal().real)
+    return full
+
+
+def smoothed_periodogram(
+    panel: TimeSeriesPanel, nu: float, B: int, grid: np.ndarray | None = None
+) -> SpectralMatrix:
+    """Average of B+1 rank-one DFT outer products at nu + b/N (mod 1), as a
+    validated matrix; see periodogram_triangle."""
+    s = periodogram_triangle(panel, nu, B, grid)
+    return SpectralMatrix(values=_hermitian_from_upper(s), nu=float(nu) % 1.0, B=B,
+                          kind="smoothed_periodogram")
+
+
+def coherency_matrix(S: SpectralMatrix) -> SpectralMatrix:
+    """diag(S)^{-1/2} S diag(S)^{-1/2}: unit diagonal, |entries| <= 1, PSD."""
+    c = _normalize_upper(np.triu(S.values))
+    return SpectralMatrix(values=_hermitian_from_upper(c), nu=S.nu, B=S.B, kind="coherency")
 
 
 def biased_autocovariance(y, l: int) -> complex:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherlss import (
     ConfigError,
@@ -11,6 +13,9 @@ from coherlss import (
     InvalidArgumentError,
     LssConfig,
     ModelSpec,
+    NumericalFailureError,
+    SpectralFunction,
+    TimeSeriesPanel,
     coherency_matrix,
     default_grid,
     default_lag_window_size,
@@ -150,6 +155,8 @@ def test_trace_functional_examples():
     with pytest.raises(DomainError) as err:
         trace_functional(np.diag([2.0, 0.0]), "log")
     assert err.value.value <= 1e-12
+    with pytest.raises(InvalidArgumentError):
+        trace_functional(np.array([[1.0, 0.5], [0.0, 1.0]]), "square_centered")
 
 
 def _identity_f():
@@ -377,3 +384,120 @@ def test_entry_points_agree_exactly(mode):
             assert dataclasses.replace(one, r_term=rec.r_term, psi=rec.psi) == rec
             assert one.r_term == pytest.approx(rec.r_term, rel=1e-14, abs=1e-300)
             assert one.psi == pytest.approx(rec.psi, rel=1e-13)
+
+
+def test_mixed_grid_matches_psi_at_exactly():
+    # on- and off-Fourier frequencies in one grid: each frequency's value
+    # comes from its own window, so psi_at reproduces every record
+    model = ModelSpec.ar1(0.4)
+    panel = simulate_panel(model, 48, 512, seed=13)
+    grid = (0.25, 0.1234567, 3 / 512, 0.7071, 0.5, 511 / 512)
+    cfg = LssConfig(N=512, B=96, M=48, grid=grid, correction_mode="oracle")
+    _, _, records = sup_over_grid(panel, cfg)
+    for k, nu in enumerate(grid):
+        assert psi_at(panel, cfg, nu) == records[k]
+
+
+def _twin_row_panel():
+    # two equal rows make every window rank-deficient
+    model = ModelSpec.ar1(0.4)
+    data = np.array(simulate_panel(model, 8, 64, seed=9).data)
+    data[1] = data[0]
+    return TimeSeriesPanel(data, model, 9)
+
+
+def test_log_rank_deficient_window_is_domain_error():
+    # the grid path and the public eigenvalue route fail with the same DomainError
+    panel = _twin_row_panel()
+    cfg = LssConfig(N=64, B=8, M=8, alpha=0.75, f="log", correction_mode="none")
+    for nu in (0.25, 0.2501):
+        with pytest.raises(DomainError) as grid_err:
+            psi_at(panel, cfg, nu)
+        with pytest.raises(DomainError) as public_err:
+            trace_functional(coherency_matrix(smoothed_periodogram(panel, nu, B=8)), "log")
+        for err in (grid_err, public_err):
+            assert str(err.value).startswith("log trace functional needs eigenvalues > 1e-12")
+            assert err.value.value <= 1e-12
+
+
+def test_non_finite_data_fails_loudly():
+    # the panel holds a view of the caller's array, so a later write reaches it
+    model = ModelSpec.ar1(0.4)
+    d = simulate_panel(model, 16, 256, 0).data.copy()
+    p = TimeSeriesPanel(d, model, 0)
+    d[3, 7] = np.nan
+    cfg = LssConfig(N=256, B=48, M=16)
+    with np.errstate(invalid="ignore"):
+        for nu in (0.25, 0.2501):
+            with pytest.raises(NumericalFailureError):
+                psi_at(p, cfg, nu)
+        with pytest.raises(NumericalFailureError):
+            sup_over_grid(p, cfg)
+        d[3, 7] = np.inf
+        with pytest.raises(NumericalFailureError):
+            smoothed_periodogram(p, 0.25, B=48)
+
+
+def test_non_finite_statistic_fails_loudly():
+    # finite on the MP support and on the contour that gives its phi, but NaN
+    # at the zero eigenvalue of a rank-deficient window
+    f = SpectralFunction.from_callable(lambda x: np.sqrt(x - 1e-9), analytic=True)
+    cfg = LssConfig(N=64, B=8, M=8, alpha=0.75, f=f, correction_mode="none")
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailureError):
+        psi_at(_twin_row_panel(), cfg, 0.25)
+
+
+# --- properties ----------------------------------------------------------------
+
+_PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+_MODELS = (ModelSpec.white_noise(), ModelSpec.ar1(0.4), ModelSpec.ar1(-0.7))
+
+
+@st.composite
+def _windows(draw):
+    """A small panel, a span B with B+1 > M, and an on- or off-grid frequency."""
+    M = draw(st.integers(2, 10))
+    B = 2 * draw(st.integers((M + 1) // 2, 12))
+    N = draw(st.integers(B + 2, 96))
+    panel = simulate_panel(draw(st.sampled_from(_MODELS)), M, N,
+                           draw(st.integers(0, 2 ** 32 - 1)))
+    nu = draw(st.one_of(st.integers(0, N - 1).map(lambda k: k / N),
+                        st.floats(0.0, 1.0, exclude_max=True)))
+    return panel, B, nu
+
+
+def _config(panel, B, f):
+    return LssConfig(N=panel.N, B=B, M=panel.M, alpha=0.75, f=f, correction_mode="none")
+
+
+@_PROPERTY_SETTINGS
+@given(_windows())
+def test_frobenius_statistic_matches_eigenvalues(window):
+    from coherlss.lss import mp_integral_value
+
+    panel, B, nu = window
+    cfg = _config(panel, B, "square_centered")
+    eigs = hermitian_eigenvalues(coherency_matrix(smoothed_periodogram(panel, nu, B=B)))
+    expected = float(np.mean((eigs - 1.0) ** 2)) - mp_integral_value(cfg.c_N, cfg.f)
+    assert abs(psi_at(panel, cfg, nu).lss_raw - expected) <= 1e-13
+
+
+@_PROPERTY_SETTINGS
+@given(_windows(), st.sampled_from(["square_centered", "log"]), st.integers(0, 2 ** 32 - 1))
+def test_statistic_row_permutation_and_scale_invariance(window, f, seed):
+    panel, B, nu = window
+    cfg = _config(panel, B, f)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(panel.M)
+    scales = np.exp(rng.uniform(-3.0, 3.0, panel.M))
+    moved = TimeSeriesPanel(panel.data[perm] * scales[:, None], panel.model, panel.seed)
+    assert psi_at(moved, cfg, nu).lss_raw == pytest.approx(psi_at(panel, cfg, nu).lss_raw,
+                                                           abs=1e-10)
+
+
+@_PROPERTY_SETTINGS
+@given(_windows())
+def test_identity_polynomial_statistic_is_zero(window):
+    panel, B, nu = window
+    cfg = _config(panel, B, SpectralFunction.polynomial([0.0, 1.0]))
+    assert abs(psi_at(panel, cfg, nu).lss_raw) <= 1e-10

@@ -128,6 +128,10 @@ def test_spectral_matrix_validation():
     off_diag[0, 0] = 1.5
     with pytest.raises(InvalidArgumentError):
         SpectralMatrix(off_diag, 0.1, 2, "coherency")
+    not_finite = good.copy()
+    not_finite[0, 1] = not_finite[1, 0] = np.nan
+    with pytest.raises(InvalidArgumentError):
+        SpectralMatrix(not_finite, 0.1, 2, "smoothed_periodogram")
 
 
 def test_biased_autocovariance_hand_values():
