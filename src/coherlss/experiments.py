@@ -343,7 +343,7 @@ def eigenvalue_localization_check(cfg: ExperimentConfig, epsilon: float = 0.5):
         table = spectral.dft_grid(panel)
         worst = 0.0
         for nu in lcfg.grid:
-            eigs = lss.triangle_eigenvalues(spectral.coherency_triangle(panel, nu, cfg.B, table))
+            eigs = np.linalg.eigvalsh(spectral.coherency_values(panel, nu, cfg.B, table))
             worst = max(worst, lm - float(eigs[0]), float(eigs[-1]) - lp)
         return worst
 

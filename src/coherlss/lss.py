@@ -25,7 +25,6 @@ import numbers
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh
 
 from . import rmt, spectral
 from .errors import (
@@ -287,25 +286,16 @@ def assemble_psi(lss_raw, r_term, phi: float, vn: float, active: bool):
     return lss_raw - r_term * phi * vn * (1.0 if active else 0.0)
 
 
-def triangle_eigenvalues(c: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian matrix whose upper triangle is
-    c, which it may overwrite; through scipy's LAPACK, as in
-    spectral.periodogram_triangle."""
-    return eigh(c, lower=False, eigvals_only=True, overwrite_a=True, check_finite=False,
-                driver="evd")
-
-
 def _raw_at(c: np.ndarray, f: SpectralFunction, mp_val: float) -> float:
-    """lss_raw from the upper triangle of a coherency matrix, strict lower
-    triangle zero; overwrites c."""
+    """lss_raw from a coherency matrix; overwrites c."""
     m = c.shape[0]
     if f.kind == "square_centered":
-        # a unit diagonal gives (1/M) tr (C - I)^2 = (2/M) ||triu(C, 1)||_F^2
+        # a unit diagonal gives (1/M) tr (C - I)^2 = (1/M) sum_{i != j} |C_ij|^2
         np.fill_diagonal(c, 0.0)
-        x = c.ravel(order="K").view(np.float64)
-        value = 2.0 * float(np.sum(x * x)) / m
+        x = c.view(np.float64)
+        value = float(np.sum(x * x)) / m
     else:
-        value = _mean_f(triangle_eigenvalues(c), f)
+        value = _mean_f(np.linalg.eigvalsh(c), f)
     raw = value - mp_val
     if not math.isfinite(raw):
         raise NumericalFailureError(f"non-finite {f.label} statistic {raw!r}")
@@ -320,7 +310,7 @@ def _raw_grid(panel: TimeSeriesPanel, cfg: LssConfig, nus: np.ndarray,
     Pass a dft_grid table to share one FFT across on-grid frequencies.
     """
     mp_val = mp_integral_value(cfg.c_N, cfg.f)
-    return np.array([_raw_at(spectral.coherency_triangle(panel, nu, cfg.B, table), cfg.f, mp_val)
+    return np.array([_raw_at(spectral.coherency_values(panel, nu, cfg.B, table), cfg.f, mp_val)
                      for nu in nus.tolist()])
 
 
@@ -391,7 +381,7 @@ def psi_at(source, cfg: LssConfig, nu: float, model: ModelSpec | None = None) ->
             raise InvalidArgumentError(
                 f"matrix is {C.values.shape[0]} x {C.values.shape[0]}, config expects M={cfg.M}"
             )
-        raw = np.array([_raw_at(np.triu(C.values), cfg.f, mp_integral_value(cfg.c_N, cfg.f))])
+        raw = np.array([_raw_at(np.array(C.values), cfg.f, mp_integral_value(cfg.c_N, cfg.f))])
     else:
         raise InvalidArgumentError("source must be a TimeSeriesPanel or a coherency SpectralMatrix")
     return _records(cfg, nus, raw, panel, model)[0]

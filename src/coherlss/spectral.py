@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.linalg.blas import zgemm, zherk
 
 from .errors import DegenerateSpectrumError, InvalidArgumentError, NumericalFailureError
 from .signal import TimeSeriesPanel, _read_only
@@ -85,21 +84,16 @@ def _check_even_span(B: int) -> int:
     return int(B)
 
 
-def periodogram_triangle(
+def periodogram_values(
     panel: TimeSeriesPanel, nu: float, B: int, grid: np.ndarray | None = None
 ) -> np.ndarray:
-    """Upper triangle of the smoothed periodogram W W^H / (B+1) at nu.
+    """The smoothed periodogram W W^H / (B+1) at nu as a plain array,
+    Hermitian to rounding; smoothed_periodogram is the checked public form.
 
     W holds the B+1 DFT columns at nu + b/N (mod 1), b = -B/2..B/2. On the
     Fourier grid they come from the FFT table (pass a precomputed dft_grid
     output as ``grid`` to reuse it across frequencies); off the grid each
-    column is an O(N) direct sum. One Hermitian rank-(B+1) update forms the
-    upper triangle only; the strict lower triangle is zero.
-
-    Per-frequency BLAS and LAPACK calls (here and in lss) all go to scipy's
-    library: numpy and scipy each bundle their own threaded OpenBLAS, and
-    alternating between the two leaves one's idle threads spinning against
-    the other's work.
+    column is an O(N) direct sum.
     """
     B = _check_even_span(B)
     n = panel.N
@@ -113,8 +107,11 @@ def periodogram_triangle(
     else:
         freqs = nu + offsets / n
         phases = np.exp(-2j * np.pi * np.outer(np.arange(n), freqs)) / np.sqrt(n)
-        w = zgemm(1.0, panel.data.T, phases.T, trans_a=1, trans_b=1)
-    s = zherk(1.0 / (B + 1), w)
+        w = panel.data @ phases
+    s = w @ w.conj().T
+    # the same bits as dividing by B+1 (numpy divides a complex array by a
+    # real scalar through its reciprocal), without the complex division
+    s *= 1.0 / (B + 1)
     # a NaN or inf anywhere in W reaches its row's diagonal entry, and a
     # finite diagonal bounds every entry (|S_ij|^2 <= S_ii S_jj)
     if not np.all(np.isfinite(s.diagonal())):
@@ -124,9 +121,8 @@ def periodogram_triangle(
     return s
 
 
-def _normalize_upper(s: np.ndarray) -> np.ndarray:
-    """diag(S)^{-1/2} S diag(S)^{-1/2} in place on an upper triangle, with an
-    exactly unit diagonal."""
+def _normalize(s: np.ndarray) -> np.ndarray:
+    """diag(S)^{-1/2} S diag(S)^{-1/2} in place, with an exactly unit diagonal."""
     diag = s.diagonal().real
     if np.any(diag <= 0.0):
         worst = float(diag.min())
@@ -140,35 +136,27 @@ def _normalize_upper(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def coherency_triangle(
+def coherency_values(
     panel: TimeSeriesPanel, nu: float, B: int, grid: np.ndarray | None = None
 ) -> np.ndarray:
-    """Upper triangle of the coherency matrix at nu (strict lower part zero),
-    unvalidated; coherency_matrix is the checked public form."""
-    return _normalize_upper(periodogram_triangle(panel, nu, B, grid))
-
-
-def _hermitian_from_upper(u: np.ndarray) -> np.ndarray:
-    strict = np.triu(u, 1)
-    full = strict + strict.conj().T
-    np.fill_diagonal(full, u.diagonal().real)
-    return full
+    """The coherency matrix at nu as a plain array; coherency_matrix of
+    smoothed_periodogram is the checked public form, with the same bits."""
+    return _normalize(periodogram_values(panel, nu, B, grid))
 
 
 def smoothed_periodogram(
     panel: TimeSeriesPanel, nu: float, B: int, grid: np.ndarray | None = None
 ) -> SpectralMatrix:
     """Average of B+1 rank-one DFT outer products at nu + b/N (mod 1), as a
-    validated matrix; see periodogram_triangle."""
-    s = periodogram_triangle(panel, nu, B, grid)
-    return SpectralMatrix(values=_hermitian_from_upper(s), nu=float(nu) % 1.0, B=B,
-                          kind="smoothed_periodogram")
+    validated matrix; see periodogram_values."""
+    return SpectralMatrix(values=periodogram_values(panel, nu, B, grid), nu=float(nu) % 1.0,
+                          B=B, kind="smoothed_periodogram")
 
 
 def coherency_matrix(S: SpectralMatrix) -> SpectralMatrix:
     """diag(S)^{-1/2} S diag(S)^{-1/2}: unit diagonal, |entries| <= 1, PSD."""
-    c = _normalize_upper(np.triu(S.values))
-    return SpectralMatrix(values=_hermitian_from_upper(c), nu=S.nu, B=S.B, kind="coherency")
+    return SpectralMatrix(values=_normalize(np.array(S.values)), nu=S.nu, B=S.B,
+                          kind="coherency")
 
 
 def biased_autocovariance(y, l: int) -> complex:

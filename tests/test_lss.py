@@ -398,6 +398,21 @@ def test_mixed_grid_matches_psi_at_exactly():
         assert psi_at(panel, cfg, nu) == records[k]
 
 
+def test_public_matrices_carry_the_kernel_bits():
+    # the validated public matrices wrap the grid kernel's arrays, so a
+    # matrix source gives the same record as the panel
+    from coherlss.spectral import coherency_values
+
+    model = ModelSpec.ar1(0.4)
+    panel = simulate_panel(model, 48, 512, seed=4)
+    for f in ("square_centered", "log"):
+        cfg = LssConfig(N=512, B=96, M=48, f=f, correction_mode="oracle")
+        for nu in (0.25, 0.1234567):
+            C = coherency_matrix(smoothed_periodogram(panel, nu, B=96))
+            assert np.array_equal(C.values, coherency_values(panel, nu, 96))
+            assert psi_at(C, cfg, nu, model=model) == psi_at(panel, cfg, nu)
+
+
 def _twin_row_panel():
     # two equal rows make every window rank-deficient
     model = ModelSpec.ar1(0.4)
