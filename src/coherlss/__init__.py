@@ -28,10 +28,8 @@ from .signal import (
 )
 from .spectral import (
     SpectralMatrix,
-    biased_autocovariance,
     coherency_matrix,
     dft_grid,
-    renormalized_dft,
     smoothed_periodogram,
 )
 from .rmt import (
@@ -54,7 +52,6 @@ from .lss import (
     default_lag_window_size,
     hermitian_eigenvalues,
     psi_at,
-    r_n_hat,
     r_n_true,
     sup_over_grid,
     sweep_panel,
@@ -78,14 +75,13 @@ __all__ = [
     "DomainError", "InvalidArgumentError", "NumericalFailureError", "SingularPointError",
     "ModelSpec", "TimeSeriesPanel", "autocovariance", "simulate_panel",
     "spectral_density", "spectral_density_derivative",
-    "SpectralMatrix", "biased_autocovariance", "coherency_matrix", "dft_grid",
-    "renormalized_dft", "smoothed_periodogram",
+    "SpectralMatrix", "coherency_matrix", "dft_grid", "smoothed_periodogram",
     "MPModel", "SpectralFunction", "distribution_action", "mp_density", "mp_integral",
     "mp_stieltjes", "mp_stieltjes_tilde", "p_stieltjes", "p_tilde_stieltjes",
     "spectral_function",
     "LssConfig", "LssRecord", "assemble_psi", "default_grid", "default_lag_window_size",
     "hermitian_eigenvalues", "psi_at",
-    "r_n_hat", "r_n_true", "sup_over_grid", "sweep_panel", "trace_functional", "u_n", "v_n",
+    "r_n_true", "sup_over_grid", "sweep_panel", "trace_functional", "u_n", "v_n",
     "ExperimentConfig", "dft_covariance_check", "eigenvalue_localization_check",
     "frequency_sweep", "histogram_study", "scaling_study", "split_seed",
 ]

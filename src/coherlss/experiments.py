@@ -29,7 +29,7 @@ import numpy as np
 from . import lss, spectral
 from ._version import __version__
 from .errors import ConfigError, InvalidArgumentError
-from .lss import LssConfig, assemble_psi
+from .lss import LssConfig
 from .rmt import MPModel
 from .signal import ModelSpec, _check_seed, autocovariance, simulate_panel, spectral_density
 
@@ -136,17 +136,9 @@ class RunRecord:
     floored: int
 
 
-def _replicate(model: ModelSpec, lcfg: LssConfig, seed: int):
-    """Simulate one panel and evaluate it on the grid.
-
-    Returns the sweep arrays with psi (oracle r) and psi_hat (plug-in r).
-    """
-    sw = lss.sweep_panel(simulate_panel(model, lcfg.M, lcfg.N, seed), lcfg)
-    phi = lss.phi_value(lcfg.c_N, lcfg.f)
-    vn = lss.v_n(lcfg.B, lcfg.N)
-    psi = assemble_psi(sw.lss_raw, sw.r_oracle, phi, vn, lcfg.correction_active)
-    psi_hat = assemble_psi(sw.lss_raw, sw.r_plugin, phi, vn, lcfg.correction_active)
-    return sw, psi, psi_hat
+def _replicate(model: ModelSpec, lcfg: LssConfig, seed: int) -> lss.Sweep:
+    """Simulate one panel and evaluate it on the grid."""
+    return lss.sweep_panel(simulate_panel(model, lcfg.M, lcfg.N, seed), lcfg)
 
 
 def _replicates(cfg: ExperimentConfig) -> list:
@@ -159,9 +151,9 @@ def _replicates(cfg: ExperimentConfig) -> list:
                          cfg.replicate_seeds(), cfg.threads)
 
 
-def _sups(sw, psi, psi_hat) -> tuple:
+def _sups(sw: lss.Sweep) -> tuple:
     """sup |lss_raw|, sup |psi| and sup |psi_hat| of one replicate."""
-    return tuple(lss.sup_abs(sw.nu, x)[0] for x in (sw.lss_raw, psi, psi_hat))
+    return tuple(lss.sup_abs(sw.nu, x)[0] for x in (sw.lss_raw, sw.psi, sw.psi_hat))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -176,17 +168,16 @@ def frequency_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Raw statistic and both corrections on the grid, per seed and averaged."""
     lcfg = cfg.lss_config()
     reps = _replicates(cfg)
-    vn = lss.v_n(cfg.B, cfg.N)
-    phi = lss.phi_value(lcfg.c_N, lcfg.f)
+    vn, phi = reps[0].v_n, reps[0].phi
     records = tuple(
         RunRecord(
             seed=seed,
             rows=tuple(zip(sw.nu.tolist(), sw.lss_raw.tolist(), itertools.repeat(vn),
                            sw.r_oracle.tolist(), sw.r_plugin.tolist(), itertools.repeat(phi),
-                           psi.tolist(), psi_hat.tolist(), itertools.repeat(seed))),
+                           sw.psi.tolist(), sw.psi_hat.tolist(), itertools.repeat(seed))),
             floored=int(sw.floored.sum()),
         )
-        for seed, (sw, psi, psi_hat) in zip(cfg.replicate_seeds(), reps)
+        for seed, sw in zip(cfg.replicate_seeds(), reps)
     )
 
     n_grid = len(lcfg.grid)
@@ -198,7 +189,7 @@ def frequency_sweep(cfg: ExperimentConfig) -> SweepResult:
         for j in range(n_grid)
     )
 
-    sup_raw, sup_psi, sup_psi_hat = zip(*(_sups(*rep) for rep in reps))
+    sup_raw, sup_psi, sup_psi_hat = zip(*(_sups(sw) for sw in reps))
     improved_mean = [abs(mean[j, 6]) < abs(mean[j, 1]) for j in range(n_grid)]
     improved_pooled = [abs(row[6]) < abs(row[1]) for rec in records for row in rec.rows]
     fraction = float(np.mean(improved_mean))
@@ -258,7 +249,7 @@ def scaling_study(M_list, alpha: float = 0.8, c_target: float = 0.5, theta: floa
             grid_stride=grid_stride, replicates=replicates, seed=seed, threads=threads))
     rows = []
     for cfg in configs:
-        sups = np.array([_sups(*rep) + (float(np.max(rep[1])),) for rep in _replicates(cfg)],
+        sups = np.array([_sups(sw) + (float(np.max(sw.psi)),) for sw in _replicates(cfg)],
                         dtype=float)
         med = np.median(sups, axis=0)
         M, B, N = cfg.M, cfg.B, cfg.N
@@ -305,7 +296,7 @@ class HistogramResult:
 
 def histogram_study(cfg: ExperimentConfig) -> HistogramResult:
     """Empirical distribution of the three sup statistics over the replicates."""
-    sups = [_sups(*rep) for rep in _replicates(cfg)]
+    sups = [_sups(sw) for sw in _replicates(cfg)]
     rows = tuple((i, seed) + sup for i, (seed, sup) in enumerate(zip(cfg.replicate_seeds(), sups)))
     arr = np.array(sups, dtype=float)
     quantiles = {}

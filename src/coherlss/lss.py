@@ -240,12 +240,18 @@ def r_n_true(model: ModelSpec, M: int, nu):
     return float(out) if np.isscalar(nu) or np.asarray(nu).ndim == 0 else out
 
 
-def r_hat_grid(panel: TimeSeriesPanel, L: int, nus) -> tuple[np.ndarray, np.ndarray]:
+def r_hat_grid(panel: TimeSeriesPanel, L: int, nus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Plug-in estimate of r at each frequency and its count of floored rows."""
     s, sp = spectral.lag_window_grid(spectral.lag_covariances(panel.data, L), nus)
     s_max = s.max(axis=0)
-    if np.any(s_max <= 0.0):
-        raise DegenerateEstimateError("all lag-window density estimates are nonpositive")
+    bad = np.flatnonzero(s_max <= 0.0)
+    if bad.size:
+        k = bad[0]
+        raise DegenerateEstimateError(
+            f"all lag-window density estimates are nonpositive at {bad.size} of {s_max.size} "
+            f"frequencies (L={L}); the first is nu={float(nus[k])!r}, where the largest row "
+            f"estimate is {s_max[k]:.3e}"
+        )
     floor = _S_FLOOR_FRACTION * s_max
     ratio = sp / np.maximum(s, floor)
     # a mean along the contiguous axis sums in the same order as the 1-D mean
@@ -255,13 +261,6 @@ def r_hat_grid(panel: TimeSeriesPanel, L: int, nus) -> tuple[np.ndarray, np.ndar
     means = np.mean(np.ascontiguousarray(ratio.T), axis=1)
     r = np.array([m ** 2 for m in means.tolist()])
     return r, np.count_nonzero(s < floor, axis=0)
-
-
-def r_n_hat(panel: TimeSeriesPanel, L: int, nu: float) -> float:
-    """Plug-in estimate of r at one frequency."""
-    if not 1 <= L < panel.N:
-        raise InvalidArgumentError(f"L must satisfy 1 <= L < N, got L={L}, N={panel.N}")
-    return float(r_hat_grid(panel, L, [nu])[0][0])
 
 
 _MP_CACHE: dict = {}
@@ -323,6 +322,8 @@ def sup_abs(nu: np.ndarray, values) -> tuple[float, float]:
 
 
 def _check_panel_matches(panel: TimeSeriesPanel, cfg: LssConfig):
+    if not isinstance(panel, TimeSeriesPanel):
+        raise InvalidArgumentError(f"need a TimeSeriesPanel, got {type(panel).__name__}")
     if panel.M != cfg.M or panel.N != cfg.N:
         raise InvalidArgumentError(
             f"panel is {panel.M} x {panel.N} but the config expects {cfg.M} x {cfg.N}"
@@ -330,18 +331,14 @@ def _check_panel_matches(panel: TimeSeriesPanel, cfg: LssConfig):
 
 
 def _records(cfg: LssConfig, nus: np.ndarray, raw: np.ndarray,
-             panel: TimeSeriesPanel | None, model: ModelSpec | None) -> list[LssRecord]:
+             panel: TimeSeriesPanel) -> list[LssRecord]:
     """LssRecords at nus, computing only the r that cfg.correction_mode needs."""
     floored = np.zeros(len(nus), dtype=int)
     if cfg.correction_mode == "none":
         r = np.zeros(len(nus))
     elif cfg.correction_mode == "oracle":
-        if model is None:
-            raise InvalidArgumentError("oracle correction needs a model")
-        r = r_n_true(model, cfg.M, nus)
+        r = r_n_true(panel.model, cfg.M, nus)
     else:
-        if panel is None:
-            raise InvalidArgumentError("plugin correction needs the panel, not just C(nu)")
         r, floored = r_hat_grid(panel, cfg.L, nus)
     vn = v_n(cfg.B, cfg.N)
     un = u_n(cfg.B, cfg.N)
@@ -355,46 +352,32 @@ def _records(cfg: LssConfig, nus: np.ndarray, raw: np.ndarray,
     ]
 
 
-def psi_at(source, cfg: LssConfig, nu: float, model: ModelSpec | None = None) -> LssRecord:
-    """Evaluate one frequency from a panel or a precomputed coherency matrix.
+def psi_at(panel: TimeSeriesPanel, cfg: LssConfig, nu: float) -> LssRecord:
+    """Evaluate one frequency of a panel, with the same bits as that
+    frequency's record on any grid.
 
-    Oracle mode needs a model (taken from the panel when available); plugin
-    mode needs the panel itself, since r-hat is estimated from the data.
+    Oracle mode takes r from the panel's model; plugin mode estimates it
+    from the panel's data.
     """
+    _check_panel_matches(panel, cfg)
     nus = np.array([float(nu)])
-    panel = None
-    if isinstance(source, TimeSeriesPanel):
-        panel = source
-        _check_panel_matches(panel, cfg)
-        if model is None:
-            model = panel.model
-        raw = _raw_grid(panel, cfg, nus)
-    elif isinstance(source, spectral.SpectralMatrix):
-        C = source
-        if C.kind != "coherency":
-            raise InvalidArgumentError(f"need a coherency matrix, got kind={C.kind!r}")
-        if C.B != cfg.B:
-            raise InvalidArgumentError(f"matrix was smoothed with B={C.B}, config has B={cfg.B}")
-        if abs(C.nu - nu) > 1e-12:
-            raise InvalidArgumentError(f"matrix frequency {C.nu} does not match nu={nu}")
-        if C.values.shape[0] != cfg.M:
-            raise InvalidArgumentError(
-                f"matrix is {C.values.shape[0]} x {C.values.shape[0]}, config expects M={cfg.M}"
-            )
-        raw = np.array([_raw_at(np.array(C.values), cfg.f, mp_integral_value(cfg.c_N, cfg.f))])
-    else:
-        raise InvalidArgumentError("source must be a TimeSeriesPanel or a coherency SpectralMatrix")
-    return _records(cfg, nus, raw, panel, model)[0]
+    return _records(cfg, nus, _raw_grid(panel, cfg, nus), panel)[0]
 
 
 class Sweep(NamedTuple):
-    """lss_raw, both candidate r terms and r-hat's floored-row count, one
-    array entry per grid frequency."""
+    """The whole grid of one panel, one array entry per frequency, with
+    both corrections: psi takes the oracle r and psi_hat the plug-in r,
+    whatever the config's correction_mode.  v_n and phi are the scalars
+    both share; floored counts r-hat's floored rows."""
 
     nu: np.ndarray
     lss_raw: np.ndarray
+    v_n: float
     r_oracle: np.ndarray
     r_plugin: np.ndarray
+    phi: float
+    psi: np.ndarray
+    psi_hat: np.ndarray
     floored: np.ndarray
 
 
@@ -403,8 +386,16 @@ def sweep_panel(panel: TimeSeriesPanel, cfg: LssConfig) -> Sweep:
     _check_panel_matches(panel, cfg)
     nus = cfg.grid_array
     raw = _raw_grid(panel, cfg, nus, spectral.dft_grid(panel))
-    r_hat, floored = r_hat_grid(panel, cfg.L, nus)
-    return Sweep(nus, raw, r_n_true(panel.model, cfg.M, nus), r_hat, floored)
+    r_oracle = r_n_true(panel.model, cfg.M, nus)
+    r_plugin, floored = r_hat_grid(panel, cfg.L, nus)
+    vn = v_n(cfg.B, cfg.N)
+    phi = phi_value(cfg.c_N, cfg.f)
+    return Sweep(
+        nu=nus, lss_raw=raw, v_n=vn, r_oracle=r_oracle, r_plugin=r_plugin, phi=phi,
+        psi=assemble_psi(raw, r_oracle, phi, vn, cfg.correction_active),
+        psi_hat=assemble_psi(raw, r_plugin, phi, vn, cfg.correction_active),
+        floored=floored,
+    )
 
 
 def sup_over_grid(panel: TimeSeriesPanel, cfg: LssConfig) -> tuple[float, float, list[LssRecord]]:
@@ -412,6 +403,6 @@ def sup_over_grid(panel: TimeSeriesPanel, cfg: LssConfig) -> tuple[float, float,
     _check_panel_matches(panel, cfg)
     nus = cfg.grid_array
     raw = _raw_grid(panel, cfg, nus, spectral.dft_grid(panel))
-    records = _records(cfg, nus, raw, panel, panel.model)
+    records = _records(cfg, nus, raw, panel)
     best, best_nu = sup_abs(nus, [rec.psi for rec in records])
     return best, best_nu, records

@@ -62,16 +62,6 @@ class SpectralMatrix:
         return self.values.shape[0]
 
 
-def renormalized_dft(y, nu: float) -> complex:
-    """xi(nu) = N**-0.5 * sum_{n=1}^{N} y_n e^{-2 i pi (n-1) nu}."""
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    n = y.shape[0]
-    if n < 1:
-        raise InvalidArgumentError("series must have length >= 1")
-    phase = np.exp(-2j * np.pi * float(nu) * np.arange(n))
-    return complex(y @ phase / np.sqrt(n))
-
-
 def dft_grid(panel: TimeSeriesPanel) -> np.ndarray:
     """M x N table of xi at the Fourier frequencies k/N, via the FFT."""
     n = panel.N
@@ -159,20 +149,6 @@ def coherency_matrix(S: SpectralMatrix) -> SpectralMatrix:
                           kind="coherency")
 
 
-def biased_autocovariance(y, l: int) -> complex:
-    """(1/N) sum_{n=1}^{N-l} y_{n+l} conj(y_n); zero when l >= N.
-
-    Negative lags follow by conjugation and are not stored.
-    """
-    if l < 0:
-        raise InvalidArgumentError("lag must be >= 0; negative lags follow by conjugation")
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    n = y.shape[0]
-    if l >= n:
-        return 0.0 + 0.0j
-    return complex(np.vdot(y[: n - l], y[l:]) / n)
-
-
 def lag_covariances(data: np.ndarray, L: int) -> np.ndarray:
     """Biased autocovariances of every row at lags 0..L, shape (M, L+1)."""
     data = np.asarray(data, dtype=np.complex128)
@@ -192,17 +168,17 @@ def lag_window_grid(lags: np.ndarray, nus: np.ndarray) -> tuple[np.ndarray, np.n
 
     Returns (s, s'), each (M, K) real:
     s_m(nu) = sum_{l=-L}^{L} r_{m,l} e^{-2 i pi l nu} and its nu-derivative.
-    Both are real by the r_{-l} = conj(r_l) pairing.
+    Both are real by the r_{-l} = conj(r_l) pairing.  Every entry sums its
+    lags one at a time, l = 1..L, in real elementwise arithmetic with no
+    BLAS call, so a frequency gets the same bits on any grid.
     """
     lags = np.atleast_2d(np.asarray(lags, dtype=np.complex128))
     nus = np.asarray(nus, dtype=float).ravel()
-    L = lags.shape[1] - 1
-    r0 = lags[:, 0].real[:, None]
-    if L == 0:
-        k = nus.shape[0]
-        return np.broadcast_to(r0, (lags.shape[0], k)).copy(), np.zeros((lags.shape[0], k))
-    lvec = np.arange(1, L + 1)
-    phases = np.exp(-2j * np.pi * np.outer(lvec, nus))
-    s = r0 + 2.0 * (lags[:, 1:] @ phases).real
-    sp = 4.0 * np.pi * ((lags[:, 1:] * lvec) @ phases).imag
-    return s, sp
+    re = np.zeros((lags.shape[0], nus.shape[0]))
+    im = np.zeros_like(re)
+    for l in range(1, lags.shape[1]):
+        phase = np.exp(-2j * np.pi * (l * nus))
+        a, b = lags[:, l, None].real, lags[:, l, None].imag
+        re += a * phase.real - b * phase.imag  # Re(r_l e^{-2 i pi l nu})
+        im += l * (a * phase.imag + b * phase.real)  # l Im(r_l e^{-2 i pi l nu})
+    return lags[:, :1].real + 2.0 * re, 4.0 * np.pi * im

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coherlss import (
     ConfigError,
+    DegenerateEstimateError,
     DomainError,
     InvalidArgumentError,
     LssConfig,
@@ -21,7 +22,6 @@ from coherlss import (
     default_lag_window_size,
     hermitian_eigenvalues,
     psi_at,
-    r_n_hat,
     r_n_true,
     simulate_panel,
     smoothed_periodogram,
@@ -30,6 +30,20 @@ from coherlss import (
     u_n,
     v_n,
 )
+from coherlss.lss import r_hat_grid
+
+
+# --- public API ----------------------------------------------------------------
+
+
+def test_public_names_resolve():
+    # a name in __all__ that does not resolve makes "import *" raise
+    import coherlss
+
+    assert len(coherlss.__all__) == len(set(coherlss.__all__))
+    namespace = {}
+    exec("from coherlss import *", namespace)
+    assert set(coherlss.__all__) <= set(namespace)
 
 
 # --- configuration -----------------------------------------------------------
@@ -180,10 +194,34 @@ def test_r_n_true_values():
     assert r_n_true(ar, 16, nu) == pytest.approx(fd ** 2, rel=1e-5)
 
 
+def _r_n_hat(panel, L, nu):
+    """Reference plug-in r at one frequency: direct lag-window sums of each
+    row's biased autocovariances, rows floored at 1e-6 of the largest, then
+    the squared mean of s'/s."""
+    n = panel.N
+    l_all = np.arange(-L, L + 1)
+    phase = np.exp(-2j * np.pi * l_all * nu)
+    s, sp = [], []
+    for y in panel.data:
+        r = np.array([np.vdot(y[: n - l], y[l:]) / n for l in range(L + 1)])
+        r_all = np.concatenate([r[1:][::-1].conj(), r])
+        s.append((r_all @ phase).real)
+        sp.append(((r_all * (-2j * np.pi * l_all)) @ phase).real)
+    s, sp = np.array(s), np.array(sp)
+    return float(np.mean(sp / np.maximum(s, 1e-6 * s.max())) ** 2)
+
+
+def _plugin_r(panel, L, nu):
+    return float(r_hat_grid(panel, L, np.array([nu]))[0][0])
+
+
 def test_r_n_hat_white_noise():
     panel = simulate_panel(ModelSpec.white_noise(), 64, 8192, seed=100)
-    assert r_n_hat(panel, 8, 0.3) <= 0.05
-    assert r_n_hat(panel, 8, 0.3) == r_n_hat(panel, 8, 0.3)
+    est = _plugin_r(panel, 8, 0.3)
+    assert est == pytest.approx(_r_n_hat(panel, 8, 0.3), rel=1e-12)
+    assert est <= 0.05
+    # each frequency sums its own lags in a fixed order: same bits on any grid
+    assert r_hat_grid(panel, 8, np.array([0.1, 0.3, 0.7]))[0][1] == est
 
 
 def test_r_n_hat_tracks_model():
@@ -191,16 +229,40 @@ def test_r_n_hat_tracks_model():
     target = r_n_true(model, 128, 0.1)
     for seed in range(10):
         panel = simulate_panel(model, 128, 16384, seed=seed)
-        est = r_n_hat(panel, 4, 0.1)
+        est = _plugin_r(panel, 4, 0.1)
+        assert est == pytest.approx(_r_n_hat(panel, 4, 0.1), rel=1e-12)
         assert abs(est - target) <= 0.5 * target + 0.05
 
 
 def test_r_n_hat_validation():
+    # the config holds the lag-window size to 1 <= L < N, and the lag
+    # covariances reject a lag beyond the series
     panel = simulate_panel(ModelSpec.white_noise(), 4, 64, seed=0)
+    for L in (0, 64):
+        with pytest.raises(ConfigError):
+            LssConfig(N=64, B=8, M=4, L=L, correction_mode="plugin")
     with pytest.raises(InvalidArgumentError):
-        r_n_hat(panel, 0, 0.2)
-    with pytest.raises(InvalidArgumentError):
-        r_n_hat(panel, 64, 0.2)
+        r_hat_grid(panel, 64, np.array([0.2]))
+
+
+def test_degenerate_lag_window_says_where():
+    # a strong AR(1) with L=2: every row's density estimate is <= 0 on a
+    # band of mid frequencies, so the plug-in r cannot be formed there
+    from coherlss import ExperimentConfig, frequency_sweep, split_seed
+
+    cfg = ExperimentConfig(N=512, B=96, M=48, theta=0.9, grid_stride=4)
+    with pytest.raises(DegenerateEstimateError) as err:
+        frequency_sweep(cfg)
+    assert str(err.value) == (
+        "all lag-window density estimates are nonpositive at 43 of 128 frequencies (L=2); "
+        "the first is nu=0.2265625, where the largest row estimate is -5.458e-01"
+    )
+    # oracle mode never estimates r, so the same panel still evaluates
+    lcfg = cfg.lss_config()
+    panel = simulate_panel(cfg.model(), 48, 512, seed=split_seed(cfg.seed, 0))
+    best, _, records = sup_over_grid(panel, lcfg)
+    assert len(records) == 128 and math.isfinite(best)
+    assert psi_at(panel, lcfg, 0.3).mode == "oracle"
 
 
 def test_callable_integrals_key_on_the_function():
@@ -241,7 +303,7 @@ def test_psi_oracle_white_equals_raw():
     model = ModelSpec.white_noise()
     cfg = LssConfig(N=512, B=96, M=48, correction_mode="oracle")
     panel = simulate_panel(model, 48, 512, seed=2)
-    rec = psi_at(panel, cfg, 0.25, model=model)
+    rec = psi_at(panel, cfg, 0.25)
     assert rec.r_term == 0.0
     assert rec.psi == rec.lss_raw
 
@@ -252,43 +314,9 @@ def test_psi_inactive_alpha_matches_none():
     cfg_o = LssConfig(N=512, B=64, M=32, correction_mode="oracle")
     cfg_n = LssConfig(N=512, B=64, M=32, correction_mode="none")
     panel = simulate_panel(model, 32, 512, seed=3)
-    rec_o = psi_at(panel, cfg_o, 0.3, model=model)
+    rec_o = psi_at(panel, cfg_o, 0.3)
     rec_n = psi_at(panel, cfg_n, 0.3)
     assert rec_o.psi == rec_n.psi == rec_o.lss_raw
-
-
-def test_psi_from_coherency_matrix():
-    model = ModelSpec.ar1(0.4)
-    cfg = LssConfig(N=512, B=96, M=48, correction_mode="oracle")
-    panel = simulate_panel(model, 48, 512, seed=4)
-    C = coherency_matrix(smoothed_periodogram(panel, 0.25, B=96))
-    rec_m = psi_at(C, cfg, 0.25, model=model)
-    rec_p = psi_at(panel, cfg, 0.25, model=model)
-    assert rec_m.lss_raw == pytest.approx(rec_p.lss_raw, abs=1e-12)
-    assert rec_m.psi == pytest.approx(rec_p.psi, abs=1e-12)
-
-
-def test_psi_source_validation():
-    model = ModelSpec.ar1(0.4)
-    cfg = LssConfig(N=512, B=96, M=48, correction_mode="plugin")
-    panel = simulate_panel(model, 48, 512, seed=4)
-    C = coherency_matrix(smoothed_periodogram(panel, 0.25, B=96))
-    with pytest.raises(InvalidArgumentError):
-        psi_at(C, cfg, 0.25)  # plugin needs the panel
-    with pytest.raises(InvalidArgumentError):
-        psi_at(C, cfg, 0.3)  # frequency mismatch
-    S = smoothed_periodogram(panel, 0.25, B=96)
-    with pytest.raises(InvalidArgumentError):
-        psi_at(S, cfg, 0.25, model=model)  # must be a coherency matrix
-    bad_b = coherency_matrix(smoothed_periodogram(panel, 0.25, B=64))
-    with pytest.raises(InvalidArgumentError):
-        psi_at(bad_b, LssConfig(N=512, B=96, M=48, correction_mode="none"), 0.25)
-    oracle_cfg = LssConfig(N=512, B=96, M=48, correction_mode="oracle")
-    good_c = coherency_matrix(smoothed_periodogram(panel, 0.25, B=96))
-    with pytest.raises(InvalidArgumentError):
-        psi_at(good_c, oracle_cfg, 0.25)  # matrix source carries no model
-    # a panel source supplies its own model
-    assert psi_at(panel, oracle_cfg, 0.25).mode == "oracle"
 
 
 def test_raw_statistic_identity_function_is_zero():
@@ -321,7 +349,7 @@ def test_sup_over_grid_single_point():
     cfg = LssConfig(N=512, B=96, M=48, grid=(0.25,), correction_mode="oracle")
     panel = simulate_panel(model, 48, 512, seed=7)
     val, nu, records = sup_over_grid(panel, cfg)
-    rec = psi_at(panel, cfg, 0.25, model=model)
+    rec = psi_at(panel, cfg, 0.25)
     assert nu == 0.25 and len(records) == 1
     assert val == pytest.approx(abs(rec.psi), abs=1e-12)
 
@@ -354,8 +382,6 @@ def test_sup_over_grid_white_noise_scale():
 def test_entry_points_agree_exactly(mode):
     # psi_at, sup_over_grid, sweep_panel and frequency_sweep share one
     # evaluation path, so they give the same bits at a grid frequency
-    import dataclasses
-
     from coherlss import ExperimentConfig, frequency_sweep, split_seed, sweep_panel
 
     cfg = ExperimentConfig(N=512, B=96, M=48, theta=0.4, grid_stride=16, correction_mode=mode,
@@ -365,7 +391,8 @@ def test_entry_points_agree_exactly(mode):
     sweep = sweep_panel(panel, lcfg)
     rows = frequency_sweep(cfg).records[0].rows
     _, _, records = sup_over_grid(panel, lcfg)
-    r_sweep = sweep.r_oracle if mode == "oracle" else sweep.r_plugin
+    r_sweep, psi_sweep = ((sweep.r_oracle, sweep.psi) if mode == "oracle"
+                          else (sweep.r_plugin, sweep.psi_hat))
     r_col, psi_col = (3, 6) if mode == "oracle" else (4, 7)
     assert len(records) == len(rows) == len(sweep.nu) == 32
     for k in (0, 5, 13, 21):
@@ -374,33 +401,29 @@ def test_entry_points_agree_exactly(mode):
         assert rec.nu == sweep.nu[k] == rows[k][0] == nu
         assert rec.lss_raw == sweep.lss_raw[k] == rows[k][1]
         assert rec.r_term == r_sweep[k] == rows[k][r_col]
-        assert rec.psi == rows[k][psi_col]
-        one = psi_at(panel, lcfg, nu)
-        if mode == "oracle":
-            assert one == rec
-        else:
-            # BLAS picks the lag-window matmul kernel, and with it the
-            # rounding, by how many frequencies share the call
-            assert dataclasses.replace(one, r_term=rec.r_term, psi=rec.psi) == rec
-            assert one.r_term == pytest.approx(rec.r_term, rel=1e-14, abs=1e-300)
-            assert one.psi == pytest.approx(rec.psi, rel=1e-13)
+        assert rec.psi == psi_sweep[k] == rows[k][psi_col]
+        assert rec.v_n == sweep.v_n == rows[k][2] and rec.phi == sweep.phi == rows[k][5]
+        assert psi_at(panel, lcfg, nu) == rec
 
 
-def test_mixed_grid_matches_psi_at_exactly():
-    # on- and off-Fourier frequencies in one grid: each frequency's value
-    # comes from its own window, so psi_at reproduces every record
+@pytest.mark.parametrize("mode", ["none", "oracle", "plugin"])
+def test_mixed_grid_matches_psi_at_exactly(mode):
+    # on- and off-Fourier frequencies in one grid: each frequency's value,
+    # and its lag-window plug-in r, comes from its own window, so psi_at
+    # reproduces every record
     model = ModelSpec.ar1(0.4)
     panel = simulate_panel(model, 48, 512, seed=13)
     grid = (0.25, 0.1234567, 3 / 512, 0.7071, 0.5, 511 / 512)
-    cfg = LssConfig(N=512, B=96, M=48, grid=grid, correction_mode="oracle")
+    cfg = LssConfig(N=512, B=96, M=48, grid=grid, correction_mode=mode)
     _, _, records = sup_over_grid(panel, cfg)
     for k, nu in enumerate(grid):
         assert psi_at(panel, cfg, nu) == records[k]
 
 
 def test_public_matrices_carry_the_kernel_bits():
-    # the validated public matrices wrap the grid kernel's arrays, so a
-    # matrix source gives the same record as the panel
+    # the validated public matrices wrap the grid kernel's arrays, so the
+    # statistic of a public matrix is the panel record's lss_raw
+    from coherlss.lss import _raw_at, mp_integral_value
     from coherlss.spectral import coherency_values
 
     model = ModelSpec.ar1(0.4)
@@ -410,7 +433,11 @@ def test_public_matrices_carry_the_kernel_bits():
         for nu in (0.25, 0.1234567):
             C = coherency_matrix(smoothed_periodogram(panel, nu, B=96))
             assert np.array_equal(C.values, coherency_values(panel, nu, 96))
-            assert psi_at(C, cfg, nu, model=model) == psi_at(panel, cfg, nu)
+            raw = _raw_at(np.array(C.values), cfg.f, mp_integral_value(cfg.c_N, cfg.f))
+            assert raw == psi_at(panel, cfg, nu).lss_raw
+    # psi_at evaluates a panel; a matrix is not a source
+    with pytest.raises(InvalidArgumentError):
+        psi_at(C, cfg, nu)
 
 
 def _twin_row_panel():

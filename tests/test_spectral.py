@@ -9,10 +9,8 @@ from coherlss import (
     ModelSpec,
     SpectralMatrix,
     TimeSeriesPanel,
-    biased_autocovariance,
     coherency_matrix,
     dft_grid,
-    renormalized_dft,
     simulate_panel,
     smoothed_periodogram,
 )
@@ -23,14 +21,32 @@ def _panel_from(data, seed=0):
     return TimeSeriesPanel(np.asarray(data, dtype=np.complex128), ModelSpec.white_noise(), seed)
 
 
+def _renormalized_dft(y, nu):
+    """Reference xi(nu) = N**-0.5 * sum_{n=1}^{N} y_n e^{-2 i pi (n-1) nu}."""
+    y = np.asarray(y, dtype=np.complex128)
+    return complex(np.sum(y * np.exp(-2j * np.pi * float(nu) * np.arange(y.size))) / np.sqrt(y.size))
+
+
+def _biased_autocovariance(y, l):
+    """Reference (1/N) sum_{n=1}^{N-l} y_{n+l} conj(y_n), zero when l >= N."""
+    y = np.asarray(y, dtype=np.complex128)
+    n = y.size
+    return complex(np.vdot(y[: n - l], y[l:]) / n) if l < n else 0.0j
+
+
 def test_renormalized_dft_direct_formula():
+    # the direct-sum DFT of an off-grid frequency: with B = 0 the smoothed
+    # periodogram is the outer product xi xi^H, and it is 1-periodic in nu
     rng = np.random.default_rng(41)
-    y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    for nu in (0.0, 0.1234, 0.5, 0.875):
-        direct = sum(y[n] * np.exp(-2j * np.pi * n * nu) for n in range(16)) / 4.0
-        assert abs(renormalized_dft(y, nu) - direct) < 1e-12
-    # 1-periodicity
-    assert abs(renormalized_dft(y, 0.3) - renormalized_dft(y, 1.3)) < 1e-10
+    data = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+    panel = _panel_from(data)
+    for nu in (0.1234, 0.3, 0.875 + 1e-3):
+        direct = [sum(y[n] * np.exp(-2j * np.pi * n * nu) for n in range(16)) / 4.0 for y in data]
+        assert max(abs(_renormalized_dft(y, nu) - d) for y, d in zip(data, direct)) < 1e-12
+        S = smoothed_periodogram(panel, nu, B=0).values
+        np.testing.assert_allclose(S, np.outer(direct, np.conj(direct)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(smoothed_periodogram(panel, 1.3, B=0).values,
+                               smoothed_periodogram(panel, 0.3, B=0).values, rtol=0, atol=1e-10)
 
 
 def test_dft_grid_matches_pointwise():
@@ -38,7 +54,7 @@ def test_dft_grid_matches_pointwise():
     table = dft_grid(panel)
     for m in range(3):
         for k in (0, 1, 7, 31):
-            assert abs(table[m, k] - renormalized_dft(panel.data[m], k / 32)) < 1e-10
+            assert abs(table[m, k] - _renormalized_dft(panel.data[m], k / 32)) < 1e-10
 
 
 def test_smoothed_periodogram_on_grid_equals_direct_path():
@@ -137,11 +153,14 @@ def test_spectral_matrix_validation():
 def test_biased_autocovariance_hand_values():
     y = np.array([1.0, 2.0j])
     # (1/2) * y_1 * conj(y_0) = j
-    assert biased_autocovariance(y, 1) == 1.0j
-    assert biased_autocovariance(y, 0) == complex(np.mean(np.abs(y) ** 2))
-    assert biased_autocovariance(y, 5) == 0.0
-    with pytest.raises(InvalidArgumentError):
-        biased_autocovariance(y, -1)
+    assert _biased_autocovariance(y, 1) == 1.0j
+    assert _biased_autocovariance(y, 0) == complex(np.mean(np.abs(y) ** 2))
+    assert _biased_autocovariance(y, 5) == 0.0
+    assert lag_covariances(y, 1).tolist() == [[complex(np.mean(np.abs(y) ** 2)), 1.0j]]
+    # negative lags follow by conjugation; lags beyond the series are rejected
+    for L in (-1, 2):
+        with pytest.raises(InvalidArgumentError):
+            lag_covariances(y, L)
 
 
 def test_lag_covariances_matches_scalar_version():
@@ -151,7 +170,7 @@ def test_lag_covariances_matches_scalar_version():
     assert lags.shape == (4, 6)
     for m in range(4):
         for l in range(6):
-            assert abs(lags[m, l] - biased_autocovariance(data[m], l)) < 1e-12
+            assert abs(lags[m, l] - _biased_autocovariance(data[m], l)) < 1e-12
     with pytest.raises(InvalidArgumentError):
         lag_covariances(data, 40)
 
