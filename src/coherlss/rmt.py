@@ -19,6 +19,7 @@ clockwise rectangle contour integral (1/(2 pi i)) oint f(z) p(z) dz.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 from typing import Callable
@@ -40,6 +41,8 @@ _AXIS_NUDGE = 1e-12
 _INVERSION_YS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 _QUAD_MAX_ERROR = 1e-7  # quad's own error estimate, as in mp_integral
 _RICHARDSON_MAX_GAP = 1e-3  # between the last two extrapolants
+_CHECK_NODES = 2**14 + 1  # fixed trapezoid nodes checking each inversion level
+_CHECK_MAX_GAP = 1e-5  # relative to 1 + |level|
 _CONTOUR_NODES = 2048
 _CONTOUR_HALF_HEIGHT = 0.5
 _MARGIN = 0.1
@@ -242,6 +245,39 @@ def _correction_transform(model: MPModel, z_arr: np.ndarray, which: str) -> np.n
     return w * w / den
 
 
+def _correction_scalar(c: float, z: complex, which: str) -> complex:
+    """p or p_tilde at one point of the upper half-plane, on Python complex
+    scalars.
+
+    The same steps as ``_mp_branch`` and ``_correction_transform``, with
+    the same fallback and pole guard, at a fraction of the cost of a 0-d
+    array; it serves the inversion integrand, which quad calls node by node.
+    """
+    a = c * z
+    b = z - 1.0 + c
+    root = cmath.sqrt(b * b - 4.0 * a)
+    if (b.conjugate() * root).real < 0.0:
+        root = -root
+    q = -0.5 * (b + root)
+    t = q / a
+    if not t.imag > 0.0:
+        t = 1.0 / q
+    if not t.imag > 0.0:
+        t = -1.0 / z
+        for _ in range(8):
+            t = 1.0 / (-z + 1.0 / (1.0 + c * t))
+        if not t.imag > 0.0:
+            raise NumericalFailureError("Stieltjes fallback iteration left Im t <= 0")
+    tt = -1.0 / (z * (1.0 + c * t))
+    w = z * t * tt
+    den = 1.0 - c * w * w
+    if abs(den) < 1e-14:
+        raise SingularPointError("transform evaluated at a (numerical) pole of 1 - c w^2")
+    if which == "p":
+        return -c * w ** 3 / den
+    return w * w / den
+
+
 def p_stieltjes(model: MPModel, z):
     """Stieltjes transform of the first correction distribution."""
     z_arr = _require_upper_half_plane(z)
@@ -277,18 +313,28 @@ def _action_interval(model: MPModel, f: SpectralFunction) -> tuple[float, float]
 
 
 def _action_inversion(model, f, which, a1, a2) -> float:
-    lm, lp = model.lambda_minus, model.lambda_plus
+    c, lm, lp = model.c, model.lambda_minus, model.lambda_plus
+    xs = np.linspace(a1, a2, _CHECK_NODES)
+    f_xs = np.asarray(f(xs))
 
     def level(y):
         def integrand(lam):
-            val = _correction_transform(model, np.asarray(lam + 1j * y, dtype=complex), which)
-            return float(f(lam)) * float(val.imag)
+            return float(f(lam)) * _correction_scalar(c, complex(lam, y), which).imag
 
         v, err = quad(integrand, a1, a2, points=[lm, lp], limit=400, epsabs=1e-10, epsrel=1e-10)
         if not err <= _QUAD_MAX_ERROR:
             raise NumericalFailureError(
                 f"inversion quadrature at y={y:g} did not converge (error estimate {err:.2e})")
-        return v / np.pi
+        value = v / np.pi
+        # quad's error estimate cannot see a feature of f that falls between
+        # its nodes; a trapezoid on fixed nodes with the array transform can
+        check = np.trapezoid(f_xs * _correction_transform(model, xs + 1j * y, which).imag, xs) / np.pi
+        gap = abs(value - check)
+        if not gap <= _CHECK_MAX_GAP * (1.0 + abs(value)):
+            raise NumericalFailureError(
+                f"inversion quadrature at y={y:g} disagrees with the fixed-node check "
+                f"({gap:.2e} apart, tolerance {_CHECK_MAX_GAP:g} * (1 + |level|))")
+        return value
 
     table = [level(y) for y in _INVERSION_YS]
     for j in range(1, len(table)):
@@ -329,7 +375,9 @@ def distribution_action(transform: str, model: MPModel, f: SpectralFunction, met
     """<D, f> for the distribution behind ``transform`` ('p' or 'p_tilde').
 
     method='inversion' integrates f * Im(transform) just above the axis at
-    y in {1e-2, 5e-3, 2.5e-3, 1.25e-3} and Richardson-extrapolates to y=0;
+    y in {1e-2, 5e-3, 2.5e-3, 1.25e-3} and Richardson-extrapolates to y=0,
+    checking each height's quad value against a trapezoid on 2**14 + 1
+    fixed nodes (so f must accept arrays);
     method='contour' (analytic f only) integrates f * transform clockwise
     around the support rectangle with a 2048-node trapezoid rule;
     method='auto' picks contour for analytic f.  Values are cached per

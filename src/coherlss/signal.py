@@ -13,7 +13,6 @@ import math
 import numbers
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InvalidArgumentError
 
@@ -178,13 +177,18 @@ def simulate_panel(model: ModelSpec, M: int, N: int, seed: int) -> TimeSeriesPan
     seed = _check_seed(seed)
     data = np.empty((M, N), dtype=np.complex128)
     th = model.theta
+    y0 = np.empty(M, dtype=np.complex128)
     for m in range(M):
         rng = _row_rng(seed, m)
-        if model.is_white:
-            data[m] = _complex_normal(rng, N, 1.0)
-        else:
-            y0 = _complex_normal(rng, 1, 1.0 / (1.0 - th * th))[0]
-            eps = _complex_normal(rng, N, 1.0)
-            row, _ = lfilter([1.0], [1.0, -th], eps, zi=np.array([th * y0]))
-            data[m] = row
+        if not model.is_white:
+            y0[m] = _complex_normal(rng, 1, 1.0 / (1.0 - th * th))[0]
+        data[m] = _complex_normal(rng, N, 1.0)
+    if not model.is_white:
+        # y_n = eps_n + theta y_{n-1}, one time step at a time across all
+        # rows, in place over the innovations: no second panel-sized buffer
+        carry = th * y0
+        for n in range(N):
+            column = data[:, n]
+            column += carry
+            np.multiply(column, th, out=carry)
     return TimeSeriesPanel(data=data, model=model, seed=seed)

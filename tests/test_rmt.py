@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from coherlss import (
@@ -238,6 +240,24 @@ def test_inversion_rejects_unconverged_quadrature():
         distribution_action("p", MPModel(0.5), _sine(2000), method="inversion")
 
 
+def _bump(w):
+    return SpectralFunction.from_callable(lambda x: np.exp(-((np.asarray(x) - 1.2) / w) ** 2) / w,
+                                          label=f"bump({w})")
+
+
+@pytest.mark.parametrize("w", [0.01, 0.002])
+def test_inversion_rejects_under_resolved_function(w):
+    # quad never samples the bump, so its own error estimate stays tiny
+    # (about 1e-33) while the value comes out near 0 instead of -0.371
+    with pytest.raises(NumericalFailureError, match="fixed-node check"):
+        distribution_action("p", MPModel(0.5), _bump(w), method="inversion")
+
+
+def test_inversion_resolves_a_wide_bump():
+    assert distribution_action("p", MPModel(0.5), _bump(0.03), method="inversion") == pytest.approx(
+        -0.371, abs=1e-3)
+
+
 def test_inversion_rejects_unconverged_extrapolation():
     # oscillation on the scale of the heights y: the last two Richardson
     # extrapolants differ by about 8e-3
@@ -251,6 +271,23 @@ def test_branch_fallback_must_reach_upper_half_plane():
     # test fails and the fixed-point fallback stays real
     with pytest.raises(NumericalFailureError, match="fallback"):
         rmt._mp_branch(0.5, np.array([5.0 + 0.0j]))
+    with pytest.raises(NumericalFailureError, match="fallback"):
+        rmt._correction_scalar(0.5, 5.0 + 0.0j, "p")
     # a NaN argument used to come back as a NaN transform
     with pytest.raises(NumericalFailureError):
         mp_stieltjes(MPModel(0.5), complex(np.nan, 1.0))
+    with pytest.raises(NumericalFailureError):
+        rmt._correction_scalar(0.5, complex(np.nan, 1.0), "p_tilde")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.05, 0.95), st.floats(0.0, 1.0), st.sampled_from(rmt._INVERSION_YS),
+       st.sampled_from(rmt.TRANSFORM_NAMES))
+def test_scalar_transform_matches_array_transform(c, u, y, which):
+    # the inversion integrand's scalar form against the array kernel, at the
+    # heights and over the interval the inversion route integrates
+    model = MPModel(c)
+    a1, a2 = rmt._action_interval(model, spectral_function("square_centered"))
+    z = complex(a1 + u * (a2 - a1), y)
+    expected = complex(rmt._correction_transform(model, np.array([z]), which)[0])
+    assert abs(rmt._correction_scalar(c, z, which) - expected) <= 1e-12 * (1.0 + abs(expected))

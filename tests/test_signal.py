@@ -1,8 +1,15 @@
 """Model specs, exact spectra, and panel simulation."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+import coherlss
 from coherlss import (
     InvalidArgumentError,
     ModelSpec,
@@ -12,6 +19,7 @@ from coherlss import (
     spectral_density,
     spectral_density_derivative,
 )
+from coherlss.signal import _complex_normal, _row_rng
 
 
 def test_model_validation():
@@ -102,6 +110,31 @@ def test_ar1_theta_zero_equals_white_noise():
     a = simulate_panel(ModelSpec.ar1(0.0), 3, 50, seed=5)
     b = simulate_panel(ModelSpec.white_noise(), 3, 50, seed=5)
     np.testing.assert_array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("theta", [0.4, 0.9, -0.7])
+@pytest.mark.parametrize("shape", [(16, 300), (1, 64), (5, 1)])
+def test_ar1_panel_matches_lfilter_oracle(theta, shape):
+    # the AR(1) recursion is the all-pole filter 1 / (1 - theta q^-1) with
+    # state theta y_0, on the same per-row draws: equal bit for bit
+    M, N = shape
+    for seed in (0, 7, 2 ** 64 - 1):
+        expected = np.empty((M, N), dtype=np.complex128)
+        for m in range(M):
+            rng = _row_rng(seed, m)
+            y0 = _complex_normal(rng, 1, 1.0 / (1.0 - theta ** 2))[0]
+            eps = _complex_normal(rng, N, 1.0)
+            expected[m], _ = lfilter([1.0], [1.0, -theta], eps, zi=np.array([theta * y0]))
+        np.testing.assert_array_equal(simulate_panel(ModelSpec.ar1(theta), M, N, seed).data, expected)
+
+
+def test_simulation_does_not_import_scipy_signal():
+    code = ("import sys, coherlss\n"
+            "coherlss.simulate_panel(coherlss.ModelSpec.ar1(0.4), 2, 16, seed=0)\n"
+            "assert 'scipy.signal' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(coherlss.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
 
 
 def test_white_noise_moments():
