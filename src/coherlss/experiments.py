@@ -322,8 +322,9 @@ def eigenvalue_localization_check(cfg: ExperimentConfig, epsilon: float = 0.5):
 
     Returns (passed, worst_excursion); failure is an outcome, not an error.
     """
-    if epsilon <= 0:
-        raise InvalidArgumentError(f"epsilon must be positive, got {epsilon}")
+    if (isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real)
+            or not math.isfinite(epsilon) or epsilon <= 0):
+        raise InvalidArgumentError(f"epsilon must be a positive finite real, got {epsilon!r}")
     lcfg = cfg.lss_config()
     model = cfg.model()
     mp = MPModel(lcfg.c_N)
@@ -331,10 +332,10 @@ def eigenvalue_localization_check(cfg: ExperimentConfig, epsilon: float = 0.5):
 
     def one(sd: int) -> float:
         panel = simulate_panel(model, cfg.M, cfg.N, sd)
-        table = spectral.dft_grid(panel)
+        windows = spectral._Windows(panel, cfg.B)
         worst = 0.0
         for nu in lcfg.grid:
-            eigs = np.linalg.eigvalsh(spectral.coherency_values(panel, nu, cfg.B, table))
+            eigs = np.linalg.eigvalsh(windows.coherency(nu))
             worst = max(worst, lm - float(eigs[0]), float(eigs[-1]) - lp)
         return worst
 

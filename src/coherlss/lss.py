@@ -112,6 +112,8 @@ class LssConfig:
             raise ConfigError(f"c_N = M/(B+1) must lie in (0, 1), got {c:.6g}")
         if N < 2:
             raise ConfigError("N must be at least 2")
+        if B + 1 > N:
+            raise ConfigError(f"the window of B+1={B + 1} DFT columns must not exceed N={N}")
 
         alpha = self.alpha
         if alpha is None:
@@ -181,7 +183,8 @@ class LssRecord:
 
 
 def hermitian_eigenvalues(A) -> np.ndarray:
-    """Ascending eigenvalues; rejects inputs that are not Hermitian to 1e-10.
+    """Ascending eigenvalues; rejects inputs that are not finite, numeric and
+    Hermitian to 1e-10.
 
     A SpectralMatrix is trusted: its constructor checked it to 1e-12 and its
     values are read-only.
@@ -191,6 +194,10 @@ def hermitian_eigenvalues(A) -> np.ndarray:
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {A.shape}")
+    if A.dtype.kind not in "biufc":
+        raise InvalidArgumentError(f"expected a numeric matrix, got dtype {A.dtype}")
+    if not np.all(np.isfinite(A)):
+        raise InvalidArgumentError("matrix entries must be finite")
     defect = np.linalg.norm(A - A.conj().T)
     if defect > 1e-10 * max(1.0, np.linalg.norm(A)):
         raise InvalidArgumentError(f"matrix is not Hermitian (defect {defect:.3e})")
@@ -309,8 +316,8 @@ def _raw_grid(panel: TimeSeriesPanel, cfg: LssConfig, nus: np.ndarray,
     Pass a dft_grid table to share one FFT across on-grid frequencies.
     """
     mp_val = mp_integral_value(cfg.c_N, cfg.f)
-    return np.array([_raw_at(spectral.coherency_values(panel, nu, cfg.B, table), cfg.f, mp_val)
-                     for nu in nus.tolist()])
+    windows = spectral._Windows(panel, cfg.B, table)
+    return np.array([_raw_at(windows.coherency(nu), cfg.f, mp_val) for nu in nus.tolist()])
 
 
 def sup_abs(nu: np.ndarray, values) -> tuple[float, float]:

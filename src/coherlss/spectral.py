@@ -68,10 +68,92 @@ def dft_grid(panel: TimeSeriesPanel) -> np.ndarray:
     return np.fft.fft(panel.data, axis=1) / np.sqrt(n)
 
 
-def _check_even_span(B: int) -> int:
+def _check_span(B: int, n: int) -> int:
     if not isinstance(B, (int, np.integer)) or B < 0 or B % 2 != 0:
         raise InvalidArgumentError(f"smoothing span B must be an even integer >= 0, got {B}")
+    if B + 1 > n:
+        # a longer window would take some DFT column twice
+        raise InvalidArgumentError(f"the window of B+1={B + 1} columns exceeds N={n}")
     return int(B)
+
+
+def _gram(w: np.ndarray) -> np.ndarray:
+    return w @ w.conj().T
+
+
+class _Windows:
+    """Smoothed periodograms S = W W^H / (B+1) of one panel at span B.
+
+    On the Fourier grid a window's columns are cut at the multiples of the
+    block width beta = max(1, (B+1)//4) of the column index k mod N, and at
+    N where the window wraps. S is the sum, in window order, of the Gram of
+    each whole block and of a direct product for each ragged end, so the
+    cut, and with it every bit of S, depends on (k, B, N) alone: a frequency
+    gets the same S on any grid, in any order and on its own. A block's Gram
+    is kept while the next window still needs it: after each window only
+    that window's Grams are held, at most ceil((B+1)/beta) + 1 of them.
+
+    ``table`` is the panel's dft_grid output, computed at the first on-grid
+    window when not given.
+    """
+
+    def __init__(self, panel: TimeSeriesPanel, B: int, table: np.ndarray | None = None):
+        self.panel = panel
+        self.B = _check_span(B, panel.N)
+        self.width = max(1, (self.B + 1) // 4)
+        self.table = table
+        self.grams: dict[int, np.ndarray] = {}
+
+    def _on_grid(self, k: int) -> np.ndarray:
+        if self.table is None:
+            self.table = dft_grid(self.panel)
+        n, width = self.panel.N, self.width
+        a = (k - self.B // 2) % n
+        left = self.B + 1
+        held = {}
+        s = None
+        while left:
+            b = min(n, (a // width + 1) * width, a + left)
+            if a % width == 0 and b == min(n, a + width):
+                g = self.grams.get(a)
+                if g is None:
+                    g = _gram(self.table[:, a:b])
+                held[a] = g
+            else:
+                g = _gram(self.table[:, a:b])
+            if s is None:
+                s = g.copy()  # a held Gram must not be summed into
+            else:
+                s += g
+            left -= b - a
+            a = b % n
+        self.grams = held
+        return s
+
+    def periodogram(self, nu: float) -> np.ndarray:
+        """S at nu as a new array, Hermitian to rounding."""
+        n = self.panel.N
+        k = nu * n
+        if abs(k - round(k)) <= _GRID_TOL * max(1.0, abs(k)):
+            s = self._on_grid(int(round(k)))
+        else:
+            freqs = nu + np.arange(-(self.B // 2), self.B // 2 + 1) / n
+            phases = np.exp(-2j * np.pi * np.outer(np.arange(n), freqs)) / np.sqrt(n)
+            s = _gram(self.panel.data @ phases)
+        # the same bits as dividing by B+1 (numpy divides a complex array by a
+        # real scalar through its reciprocal), without the complex division
+        s *= 1.0 / (self.B + 1)
+        # a NaN or inf anywhere in W reaches its row's diagonal entry, and a
+        # finite diagonal bounds every entry (|S_ij|^2 <= S_ii S_jj)
+        if not np.all(np.isfinite(s.diagonal())):
+            raise NumericalFailureError(
+                f"non-finite smoothed periodogram at nu={nu}; the panel data holds NaN or inf"
+            )
+        return s
+
+    def coherency(self, nu: float) -> np.ndarray:
+        """The coherency matrix at nu as a new array."""
+        return _normalize(self.periodogram(nu))
 
 
 def periodogram_values(
@@ -80,35 +162,13 @@ def periodogram_values(
     """The smoothed periodogram W W^H / (B+1) at nu as a plain array,
     Hermitian to rounding; smoothed_periodogram is the checked public form.
 
-    W holds the B+1 DFT columns at nu + b/N (mod 1), b = -B/2..B/2. On the
-    Fourier grid they come from the FFT table (pass a precomputed dft_grid
-    output as ``grid`` to reuse it across frequencies); off the grid each
-    column is an O(N) direct sum.
+    W holds the B+1 <= N DFT columns at nu + b/N (mod 1), b = -B/2..B/2. On
+    the Fourier grid they come from the FFT table (pass a precomputed
+    dft_grid output as ``grid`` to reuse it across frequencies) and S is
+    summed over fixed column blocks, as in a sweep of the grid; off the grid
+    each column is an O(N) direct sum.
     """
-    B = _check_even_span(B)
-    n = panel.N
-    nu = float(nu)
-    k = nu * n
-    offsets = np.arange(-(B // 2), B // 2 + 1)
-    if abs(k - round(k)) <= _GRID_TOL * max(1.0, abs(k)):
-        table = dft_grid(panel) if grid is None else grid
-        idx = (int(round(k)) + offsets) % n
-        w = table[:, idx]
-    else:
-        freqs = nu + offsets / n
-        phases = np.exp(-2j * np.pi * np.outer(np.arange(n), freqs)) / np.sqrt(n)
-        w = panel.data @ phases
-    s = w @ w.conj().T
-    # the same bits as dividing by B+1 (numpy divides a complex array by a
-    # real scalar through its reciprocal), without the complex division
-    s *= 1.0 / (B + 1)
-    # a NaN or inf anywhere in W reaches its row's diagonal entry, and a
-    # finite diagonal bounds every entry (|S_ij|^2 <= S_ii S_jj)
-    if not np.all(np.isfinite(s.diagonal())):
-        raise NumericalFailureError(
-            f"non-finite smoothed periodogram at nu={nu}; the panel data holds NaN or inf"
-        )
-    return s
+    return _Windows(panel, B, grid).periodogram(float(nu))
 
 
 def _normalize(s: np.ndarray) -> np.ndarray:
@@ -131,7 +191,7 @@ def coherency_values(
 ) -> np.ndarray:
     """The coherency matrix at nu as a plain array; coherency_matrix of
     smoothed_periodogram is the checked public form, with the same bits."""
-    return _normalize(periodogram_values(panel, nu, B, grid))
+    return _Windows(panel, B, grid).coherency(float(nu))
 
 
 def smoothed_periodogram(

@@ -211,6 +211,12 @@ def test_localization_generous_epsilon():
     assert 0.0 <= worst < 10.0
 
 
+def test_localization_rejects_bad_epsilon():
+    for bad in (0.0, -1.0, float("nan"), float("inf"), "0.5", None, True):
+        with pytest.raises(InvalidArgumentError):
+            eigenvalue_localization_check(_quick_cfg(), epsilon=bad)
+
+
 # --- exact DFT covariance -----------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Linear spectral statistics: configs, correction terms, psi assembly."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -98,6 +99,9 @@ def test_config_validation():
         LssConfig(N=2048, B=256, M=128, correction_mode="always")
     with pytest.raises(ConfigError):
         LssConfig(N=True, B=256, M=128)  # bools are not sizes
+    with pytest.raises(ConfigError):
+        LssConfig(N=64, B=100, M=8, alpha=0.8)  # a window of B+1 > N columns
+    LssConfig(N=65, B=64, M=8, alpha=0.8)  # B+1 = N takes each column once
 
 
 def test_config_large_scale_accepted():
@@ -148,6 +152,10 @@ def test_hermitian_eigenvalues_examples():
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InvalidArgumentError):
         hermitian_eigenvalues(np.ones((2, 3)))
+    for bad in (np.full((2, 2), np.nan), np.diag([1.0, np.inf]),
+                np.array([[1.0, np.nan], [np.nan, 1.0]]) + 0j, np.array([["a", "b"], ["b", "a"]])):
+        with pytest.raises(InvalidArgumentError):
+            hermitian_eigenvalues(bad)
 
 
 def test_hermitian_eigenvalues_trace_identity():
@@ -171,6 +179,11 @@ def test_trace_functional_examples():
     assert err.value.value <= 1e-12
     with pytest.raises(InvalidArgumentError):
         trace_functional(np.array([[1.0, 0.5], [0.0, 1.0]]), "square_centered")
+    for f in ("log", "square_centered"):
+        with pytest.raises(InvalidArgumentError):
+            trace_functional(np.full((2, 2), np.nan), f)
+        with pytest.raises(InvalidArgumentError):
+            trace_functional(np.array([[None, 0], [0, None]]), f)
 
 
 def _identity_f():
@@ -438,6 +451,40 @@ def test_public_matrices_carry_the_kernel_bits():
     # psi_at evaluates a panel; a matrix is not a source
     with pytest.raises(InvalidArgumentError):
         psi_at(C, cfg, nu)
+
+
+@pytest.mark.parametrize("f", ["square_centered", "log"])
+def test_block_walk_is_grid_independent_and_bounded(f, monkeypatch):
+    # every grid, any grid order, psi_at and the public matrices give the
+    # same lss_raw bits, and a walk holds at most ceil((B+1)/beta) + 1 Grams
+    from coherlss import spectral
+    from coherlss.lss import _raw_at, mp_integral_value, sweep_panel
+
+    N, B, M = 512, 96, 48
+    beta = max(1, (B + 1) // 4)
+    held = []
+    walk = spectral._Windows._on_grid
+
+    def counting(self, k):
+        s = walk(self, k)
+        held.append(len(self.grams))
+        return s
+
+    monkeypatch.setattr(spectral._Windows, "_on_grid", counting)
+    panel = simulate_panel(ModelSpec.ar1(0.4), M, N, seed=21)
+    full = LssConfig(N=N, B=B, M=M, f=f, correction_mode="none", grid=default_grid(N, 1))
+    by_nu = dict(zip(full.grid, sweep_panel(panel, full).lss_raw.tolist()))
+    shuffled = list(default_grid(N, 1))
+    np.random.default_rng(3).shuffle(shuffled)
+    for grid in (default_grid(N, 3), default_grid(N, 4), tuple(shuffled)):
+        cfg = dataclasses.replace(full, grid=grid)
+        for nu, raw in zip(grid, sweep_panel(panel, cfg).lss_raw.tolist()):
+            assert raw == by_nu[nu]
+    for nu in (0.0, 12 / N, 0.5, 1 - 1 / N):
+        assert psi_at(panel, full, nu).lss_raw == by_nu[nu]
+        C = coherency_matrix(smoothed_periodogram(panel, nu, B=B))
+        assert _raw_at(np.array(C.values), full.f, mp_integral_value(full.c_N, full.f)) == by_nu[nu]
+    assert held and max(held) <= math.ceil((B + 1) / beta) + 1
 
 
 def _twin_row_panel():

@@ -92,6 +92,39 @@ def test_smoothed_periodogram_rejects_odd_span():
         smoothed_periodogram(panel, 0.1, B=-2)
 
 
+def test_smoothed_periodogram_rejects_window_longer_than_panel():
+    # B+1 > N would take some DFT column twice; B+1 = N takes each once
+    panel = simulate_panel(ModelSpec.white_noise(), 2, 32, seed=0)
+    for nu in (0.25, 0.1234):
+        with pytest.raises(InvalidArgumentError):
+            smoothed_periodogram(panel, nu, B=32)
+        smoothed_periodogram(panel, nu, B=30)
+
+
+def _direct_periodogram(table, k, B):
+    """Oracle W W^H / (B+1) from one gather of the window's B+1 columns."""
+    w = table[:, (k + np.arange(-(B // 2), B // 2 + 1)) % table.shape[1]]
+    return w @ w.conj().T / (B + 1)
+
+
+@pytest.mark.parametrize("N, B", [(257, 0), (257, 2), (257, 8), (257, 96), (1063, 96),
+                                  (1063, 8), (65, 64), (256, 96)])
+def test_block_sum_matches_direct_window(N, B):
+    # windows that wrap past 0 and N-1, N not a multiple of the block width,
+    # and B+1 = N; the grid walk (Grams reused across windows) and the
+    # single-window form both match the oracle
+    from coherlss.spectral import _Windows, periodogram_values
+
+    panel = simulate_panel(ModelSpec.ar1(0.4), 5, N, seed=N + B)
+    table = dft_grid(panel)
+    windows = _Windows(panel, B, table)
+    ks = [0, 1, N - 1] + list(range(2, N - 1, 3)) + [N - 2, 0]
+    for k in ks:
+        expected = _direct_periodogram(table, k, B)
+        for got in (windows.periodogram(k / N), periodogram_values(panel, k / N, B)):
+            assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
 def test_smoothed_periodogram_mean_tracks_density():
     # E S_mm(nu) ~ s(nu) up to O(B/N + 1/N) smoothing bias
     model = ModelSpec.ar1(0.4)
