@@ -15,17 +15,19 @@ Each is the Stieltjes transform of a compactly supported distribution; the
 action <D, f> is recovered either by the inversion formula
 (1/pi) lim_{y->0} int f(x) Im p(x + i y) dx or, for analytic f, by a
 clockwise rectangle contour integral (1/(2 pi i)) oint f(z) p(z) dz.
+
+Quadrature is numpy only: an adaptive 21-point Gauss-Kronrod rule
+(QUADPACK's qk21) integrates array integrands, so a callable f must accept
+numpy arrays on every route (MP integral, inversion and contour).
 """
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import math
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     DomainError,
@@ -39,7 +41,7 @@ TRANSFORM_NAMES = ("p", "p_tilde")
 
 _AXIS_NUDGE = 1e-12
 _INVERSION_YS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
-_QUAD_MAX_ERROR = 1e-7  # quad's own error estimate, as in mp_integral
+_QUAD_MAX_ERROR = 1e-7  # the integrator's own error estimate, as in mp_integral
 _RICHARDSON_MAX_GAP = 1e-3  # between the last two extrapolants
 _CHECK_NODES = 2**14 + 1  # fixed trapezoid nodes checking each inversion level
 _CHECK_MAX_GAP = 1e-5  # relative to 1 + |level|
@@ -157,18 +159,135 @@ def mp_density(model: MPModel, lam):
     return float(out) if np.isscalar(lam) or lam_arr.ndim == 0 else out
 
 
+# QUADPACK's qk21 (Piessens et al., QUADPACK, Springer 1983): the 21-point
+# Kronrod nodes in (0, 1] with their weights; the odd entries are the nodes
+# of the embedded 10-point Gauss rule, whose weights are _GAUSS_WEIGHTS
+_KRONROD_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+])
+_KRONROD_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208445218080, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+])
+_KRONROD_CENTER_WEIGHT = 0.149445554002916905664936468389821
+_GAUSS_WEIGHTS = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+# QUADPACK's accumulation order: the Gauss-node pairs, then the others
+_PAIR_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _qk21(fn: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """qk21 value and error estimate on each interval [lo_i, hi_i].
+
+    ``fn`` is called once, on all 21 nodes of every interval. Each
+    interval's sums run over its nodes in QUADPACK's order with elementwise
+    arithmetic only, so its bits do not depend on the other intervals.
+    """
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    offsets = half[:, None] * _KRONROD_NODES
+    nodes = np.concatenate([center[:, None] - offsets, center[:, None] + offsets, center[:, None]],
+                           axis=1)
+    values = np.broadcast_to(np.asarray(fn(nodes), dtype=float), nodes.shape)
+    if not np.all(np.isfinite(values)):
+        raise NumericalFailureError("integrand is not finite at a quadrature node")
+    left, right, fc = values[:, :10], values[:, 10:20], values[:, 20]
+    kronrod = _KRONROD_CENTER_WEIGHT * fc
+    gauss = np.zeros_like(fc)
+    absolute = np.abs(kronrod)
+    for j in _PAIR_ORDER:
+        pair = left[:, j] + right[:, j]
+        if j % 2:
+            gauss = gauss + _GAUSS_WEIGHTS[j // 2] * pair
+        kronrod = kronrod + _KRONROD_WEIGHTS[j] * pair
+        absolute = absolute + _KRONROD_WEIGHTS[j] * (np.abs(left[:, j]) + np.abs(right[:, j]))
+    mean = 0.5 * kronrod
+    spread = _KRONROD_CENTER_WEIGHT * np.abs(fc - mean)
+    for j in range(10):
+        spread = spread + _KRONROD_WEIGHTS[j] * (np.abs(left[:, j] - mean) + np.abs(right[:, j] - mean))
+    width = np.abs(half)
+    absolute, spread = absolute * width, spread * width
+    err = np.abs((kronrod - gauss) * half)
+    scaled = (spread != 0.0) & (err != 0.0)
+    ratio = 200.0 * err / np.where(scaled, spread, 1.0)
+    err = np.where(scaled, spread * np.minimum(1.0, ratio ** 1.5), err)
+    err = np.where(absolute > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * absolute, err), err)
+    return kronrod * half, err
+
+
+def _sum_in_order(a: np.ndarray) -> float:
+    """Left-to-right sum, the same bits on any machine and thread count."""
+    return float(np.cumsum(a)[-1])
+
+
+def _gauss_kronrod(fn: Callable, breakpoints, epsabs: float, epsrel: float,
+                   limit: int) -> tuple[float, float]:
+    """Adaptive qk21 integral of an array integrand over [breakpoints[0],
+    breakpoints[-1]], returning (value, error estimate).
+
+    The first pass applies qk21 between consecutive breakpoints. Each round
+    then bisects every interval whose error exceeds its length's share of
+    the tolerance, always including the worst one, and evaluates ``fn`` once
+    on all new nodes. It stops when the total error is at most
+    max(epsabs, epsrel |value|) or when ``limit`` intervals are reached;
+    the caller judges the returned error. Totals are summed left to right
+    in position order. A non-finite integrand value raises
+    NumericalFailureError.
+    """
+    edges = np.asarray(breakpoints, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    value, err = _qk21(fn, lo, hi)
+    while True:
+        total, total_err = _sum_in_order(value), _sum_in_order(err)
+        tol = max(epsabs, epsrel * abs(total))
+        if total_err <= tol or lo.size >= limit:
+            return total, total_err
+        split = err > tol * (hi - lo) / (edges[-1] - edges[0])
+        split[np.argmax(err)] = True
+        room = limit - lo.size
+        if np.count_nonzero(split) > room:
+            split[:] = False
+            split[np.argsort(-err, kind="stable")[:room]] = True
+        mid = 0.5 * (lo[split] + hi[split])
+        child_lo = np.concatenate([lo[split], mid])
+        child_hi = np.concatenate([mid, hi[split]])
+        child_value, child_err = _qk21(fn, child_lo, child_hi)
+        lo = np.concatenate([lo[~split], child_lo])
+        order = np.argsort(lo, kind="stable")  # back to position order
+        lo = lo[order]
+        hi = np.concatenate([hi[~split], child_hi])[order]
+        value = np.concatenate([value[~split], child_value])[order]
+        err = np.concatenate([err[~split], child_err])[order]
+
+
 def mp_integral(model: MPModel, f: SpectralFunction) -> float:
-    """int f dmu_MP with the edge square roots removed by x = m + R sin t."""
+    """int f dmu_MP with the edge square roots removed by x = m + R sin t.
+
+    f is applied to arrays of points in the support, so a callable f must
+    accept numpy arrays.
+    """
     lm, lp = model.lambda_minus, model.lambda_plus
     center = 0.5 * (lp + lm)
     radius = 0.5 * (lp - lm)
     scale = radius * radius / (2.0 * np.pi * model.c)
 
     def integrand(t):
-        lam = center + radius * math.sin(t)
-        return float(f(lam)) * scale * math.cos(t) ** 2 / lam
+        lam = center + radius * np.sin(t)
+        return f(lam) * scale * np.cos(t) ** 2 / lam
 
-    value, err = quad(integrand, -np.pi / 2.0, np.pi / 2.0, epsabs=1e-10, epsrel=1e-10, limit=200)
+    value, err = _gauss_kronrod(integrand, [-np.pi / 2.0, np.pi / 2.0], 1e-10, 1e-10, 200)
     if not np.isfinite(value) or err > _QUAD_MAX_ERROR:
         raise NumericalFailureError(f"MP quadrature did not converge (error estimate {err:.2e})")
     return float(value)
@@ -245,39 +364,6 @@ def _correction_transform(model: MPModel, z_arr: np.ndarray, which: str) -> np.n
     return w * w / den
 
 
-def _correction_scalar(c: float, z: complex, which: str) -> complex:
-    """p or p_tilde at one point of the upper half-plane, on Python complex
-    scalars.
-
-    The same steps as ``_mp_branch`` and ``_correction_transform``, with
-    the same fallback and pole guard, at a fraction of the cost of a 0-d
-    array; it serves the inversion integrand, which quad calls node by node.
-    """
-    a = c * z
-    b = z - 1.0 + c
-    root = cmath.sqrt(b * b - 4.0 * a)
-    if (b.conjugate() * root).real < 0.0:
-        root = -root
-    q = -0.5 * (b + root)
-    t = q / a
-    if not t.imag > 0.0:
-        t = 1.0 / q
-    if not t.imag > 0.0:
-        t = -1.0 / z
-        for _ in range(8):
-            t = 1.0 / (-z + 1.0 / (1.0 + c * t))
-        if not t.imag > 0.0:
-            raise NumericalFailureError("Stieltjes fallback iteration left Im t <= 0")
-    tt = -1.0 / (z * (1.0 + c * t))
-    w = z * t * tt
-    den = 1.0 - c * w * w
-    if abs(den) < 1e-14:
-        raise SingularPointError("transform evaluated at a (numerical) pole of 1 - c w^2")
-    if which == "p":
-        return -c * w ** 3 / den
-    return w * w / den
-
-
 def p_stieltjes(model: MPModel, z):
     """Stieltjes transform of the first correction distribution."""
     z_arr = _require_upper_half_plane(z)
@@ -312,22 +398,30 @@ def _action_interval(model: MPModel, f: SpectralFunction) -> tuple[float, float]
     return lm - left, lp + _MARGIN
 
 
+def _inversion_level(model: MPModel, f: SpectralFunction, which: str, y: float,
+                     a1: float, a2: float) -> float:
+    """(1/pi) int_a1^a2 f(x) Im transform(x + i y) dx by the adaptive rule,
+    with breakpoints at the support edges; raises if its error estimate
+    exceeds 1e-7."""
+    def integrand(lam):
+        return f(lam) * _correction_transform(model, lam + 1j * y, which).imag
+
+    breakpoints = [a1, model.lambda_minus, model.lambda_plus, a2]
+    v, err = _gauss_kronrod(integrand, breakpoints, 1e-10, 1e-10, 400)
+    if not err <= _QUAD_MAX_ERROR:
+        raise NumericalFailureError(
+            f"inversion quadrature at y={y:g} did not converge (error estimate {err:.2e})")
+    return v / np.pi
+
+
 def _action_inversion(model, f, which, a1, a2) -> float:
-    c, lm, lp = model.c, model.lambda_minus, model.lambda_plus
     xs = np.linspace(a1, a2, _CHECK_NODES)
     f_xs = np.asarray(f(xs))
 
     def level(y):
-        def integrand(lam):
-            return float(f(lam)) * _correction_scalar(c, complex(lam, y), which).imag
-
-        v, err = quad(integrand, a1, a2, points=[lm, lp], limit=400, epsabs=1e-10, epsrel=1e-10)
-        if not err <= _QUAD_MAX_ERROR:
-            raise NumericalFailureError(
-                f"inversion quadrature at y={y:g} did not converge (error estimate {err:.2e})")
-        value = v / np.pi
-        # quad's error estimate cannot see a feature of f that falls between
-        # its nodes; a trapezoid on fixed nodes with the array transform can
+        value = _inversion_level(model, f, which, y, a1, a2)
+        # the adaptive rule's error estimate cannot see a feature of f that
+        # falls between its nodes; a trapezoid on fixed nodes can
         check = np.trapezoid(f_xs * _correction_transform(model, xs + 1j * y, which).imag, xs) / np.pi
         gap = abs(value - check)
         if not gap <= _CHECK_MAX_GAP * (1.0 + abs(value)):
@@ -375,12 +469,13 @@ def distribution_action(transform: str, model: MPModel, f: SpectralFunction, met
     """<D, f> for the distribution behind ``transform`` ('p' or 'p_tilde').
 
     method='inversion' integrates f * Im(transform) just above the axis at
-    y in {1e-2, 5e-3, 2.5e-3, 1.25e-3} and Richardson-extrapolates to y=0,
-    checking each height's quad value against a trapezoid on 2**14 + 1
-    fixed nodes (so f must accept arrays);
+    y in {1e-2, 5e-3, 2.5e-3, 1.25e-3} with the adaptive Gauss-Kronrod rule
+    and Richardson-extrapolates to y=0, checking each height's value against
+    a trapezoid on 2**14 + 1 fixed nodes;
     method='contour' (analytic f only) integrates f * transform clockwise
     around the support rectangle with a 2048-node trapezoid rule;
-    method='auto' picks contour for analytic f.  Values are cached per
+    method='auto' picks contour for analytic f.  Every route applies f to
+    numpy arrays, so a callable f must accept them.  Values are cached per
     (transform, c, f, method).
     """
     if transform not in TRANSFORM_NAMES:

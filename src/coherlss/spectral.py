@@ -186,14 +186,6 @@ def _normalize(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def coherency_values(
-    panel: TimeSeriesPanel, nu: float, B: int, grid: np.ndarray | None = None
-) -> np.ndarray:
-    """The coherency matrix at nu as a plain array; coherency_matrix of
-    smoothed_periodogram is the checked public form, with the same bits."""
-    return _Windows(panel, B, grid).coherency(float(nu))
-
-
 def smoothed_periodogram(
     panel: TimeSeriesPanel, nu: float, B: int, grid: np.ndarray | None = None
 ) -> SpectralMatrix:

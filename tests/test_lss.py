@@ -437,7 +437,7 @@ def test_public_matrices_carry_the_kernel_bits():
     # the validated public matrices wrap the grid kernel's arrays, so the
     # statistic of a public matrix is the panel record's lss_raw
     from coherlss.lss import _raw_at, mp_integral_value
-    from coherlss.spectral import coherency_values
+    from coherlss import spectral
 
     model = ModelSpec.ar1(0.4)
     panel = simulate_panel(model, 48, 512, seed=4)
@@ -445,7 +445,7 @@ def test_public_matrices_carry_the_kernel_bits():
         cfg = LssConfig(N=512, B=96, M=48, f=f, correction_mode="oracle")
         for nu in (0.25, 0.1234567):
             C = coherency_matrix(smoothed_periodogram(panel, nu, B=96))
-            assert np.array_equal(C.values, coherency_values(panel, nu, 96))
+            assert np.array_equal(C.values, spectral._Windows(panel, 96).coherency(nu))
             raw = _raw_at(np.array(C.values), cfg.f, mp_integral_value(cfg.c_N, cfg.f))
             assert raw == psi_at(panel, cfg, nu).lss_raw
     # psi_at evaluates a panel; a matrix is not a source

@@ -1,6 +1,11 @@
 """Marcenko-Pastur law, Stieltjes transforms, and distribution actions."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from coherlss import (
     p_tilde_stieltjes,
     spectral_function,
 )
+import coherlss
 from coherlss import rmt
 
 
@@ -271,23 +277,100 @@ def test_branch_fallback_must_reach_upper_half_plane():
     # test fails and the fixed-point fallback stays real
     with pytest.raises(NumericalFailureError, match="fallback"):
         rmt._mp_branch(0.5, np.array([5.0 + 0.0j]))
-    with pytest.raises(NumericalFailureError, match="fallback"):
-        rmt._correction_scalar(0.5, 5.0 + 0.0j, "p")
     # a NaN argument used to come back as a NaN transform
     with pytest.raises(NumericalFailureError):
         mp_stieltjes(MPModel(0.5), complex(np.nan, 1.0))
-    with pytest.raises(NumericalFailureError):
-        rmt._correction_scalar(0.5, complex(np.nan, 1.0), "p_tilde")
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.floats(0.05, 0.95), st.floats(0.0, 1.0), st.sampled_from(rmt._INVERSION_YS),
+def _quad_level(model, f, which, y, a1, a2):
+    # the parent route: quad on the scalar integrand, breakpoints at the edges
+    def integrand(lam):
+        return float(f(lam)) * complex(rmt._correction_transform(model, np.array([complex(lam, y)]),
+                                                                 which)[0]).imag
+
+    v, _ = integrate.quad(integrand, a1, a2, points=[model.lambda_minus, model.lambda_plus],
+                          limit=400, epsabs=1e-10, epsrel=1e-10)
+    return v / np.pi
+
+
+_LEVEL_FUNCTIONS = st.one_of(
+    st.sampled_from([spectral_function("square_centered"), spectral_function("log"),
+                     SpectralFunction.from_callable(lambda x: np.abs(x - 1.0), label="|x-1|")]),
+    st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4).map(SpectralFunction.polynomial),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.05, 0.95), st.sampled_from(rmt._INVERSION_YS), _LEVEL_FUNCTIONS,
        st.sampled_from(rmt.TRANSFORM_NAMES))
-def test_scalar_transform_matches_array_transform(c, u, y, which):
-    # the inversion integrand's scalar form against the array kernel, at the
-    # heights and over the interval the inversion route integrates
+def test_inversion_level_matches_quad(c, y, f, which):
     model = MPModel(c)
-    a1, a2 = rmt._action_interval(model, spectral_function("square_centered"))
-    z = complex(a1 + u * (a2 - a1), y)
-    expected = complex(rmt._correction_transform(model, np.array([z]), which)[0])
-    assert abs(rmt._correction_scalar(c, z, which) - expected) <= 1e-12 * (1.0 + abs(expected))
+    a1, a2 = rmt._action_interval(model, f)
+    value = rmt._inversion_level(model, f, which, y, a1, a2)
+    expected = _quad_level(model, f, which, y, a1, a2)
+    assert abs(value - expected) <= 1e-10 * (1.0 + abs(expected))
+
+
+def test_mp_integral_matches_quad():
+    for c in (0.05, 0.2, 0.5, 0.8, 0.95):
+        m = MPModel(c)
+        lm, lp = m.lambda_minus, m.lambda_plus
+        center, radius = 0.5 * (lp + lm), 0.5 * (lp - lm)
+        scale = radius * radius / (2.0 * np.pi * c)
+        for name in ("square_centered", "log"):
+            f = spectral_function(name)
+
+            def integrand(t):
+                lam = center + radius * math.sin(t)
+                return f(lam) * scale * math.cos(t) ** 2 / lam
+
+            expected, _ = integrate.quad(integrand, -np.pi / 2.0, np.pi / 2.0,
+                                         epsabs=1e-10, epsrel=1e-10, limit=200)
+            assert abs(mp_integral(m, f) - expected) <= 1e-13
+
+
+@pytest.mark.parametrize("fn, a, b", [
+    (np.exp, 0.0, 1.0),
+    (lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 2.0),
+    (lambda x: np.sin(40.0 * x), -1.0, 3.0),
+    (lambda x: 1.0 / (1e-3 + x * x), -1.0, 1.0),
+])
+def test_single_rule_matches_quadpack(fn, a, b):
+    # with one interval allowed, quad returns QUADPACK's qk21 value and error
+    # estimate on [a, b]; the integrator's first pass must reproduce both
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        expected, expected_err = integrate.quad(lambda x: float(fn(x)), a, b, limit=1)
+    value, err = rmt._gauss_kronrod(fn, [a, b], 0.0, 0.0, 1)
+    assert value == pytest.approx(expected, rel=1e-14, abs=1e-15)
+    assert err == pytest.approx(expected_err, rel=1e-12)
+
+
+def test_integrator_refines_to_its_tolerance():
+    # the worst interval is always bisected: a sharp peak converges within
+    # the interval limit, and an exhausted limit returns its error estimate
+    value, err = rmt._gauss_kronrod(lambda x: 1.0 / (1e-6 + x * x), [-1.0, 1.0], 1e-10, 1e-10, 200)
+    exact = 2.0 * math.atan(1e3) / 1e-3
+    assert err <= 1e-10 * exact and abs(value - exact) <= 1e-9 * exact
+    value, err = rmt._gauss_kronrod(lambda x: np.sin(2000.0 * x), [0.0, 3.0], 1e-10, 1e-10, 10)
+    assert err > 1e-7
+
+
+def test_non_finite_integrand_fails_loudly():
+    with pytest.raises(NumericalFailureError, match="not finite"):
+        rmt._gauss_kronrod(lambda x: np.where(x > 0.7, np.nan, x), [0.0, 1.0], 1e-10, 1e-10, 200)
+    with pytest.raises(NumericalFailureError, match="not finite"):
+        mp_integral(MPModel(0.5), SpectralFunction.from_callable(lambda x: np.where(x > 2.0, np.inf, x)))
+    bad = SpectralFunction.from_callable(lambda x: np.where(np.abs(x - 1.0) < 0.2, np.nan, x), label="hole")
+    with pytest.raises(NumericalFailureError, match="not finite"):
+        distribution_action("p", MPModel(0.5), bad, method="inversion")
+
+
+def test_library_does_not_import_scipy(tmp_path):
+    code = ("import sys, coherlss.cli\n"
+            f"assert coherlss.cli.run(['validate', '--quick', '--out-dir', {str(tmp_path)!r}]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(coherlss.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
