@@ -191,32 +191,35 @@ _TINY = float(np.finfo(float).tiny)
 def _qk21(fn: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """qk21 value and error estimate on each interval [lo_i, hi_i].
 
-    ``fn`` is called once, on all 21 nodes of every interval. Each
-    interval's sums run over its nodes in QUADPACK's order with elementwise
-    arithmetic only, so its bits do not depend on the other intervals.
+    ``fn`` is called once, on a 1-D array of the 21 nodes of every
+    interval. Each interval's sums run over its nodes in QUADPACK's order
+    with elementwise arithmetic only, so its bits do not depend on the other
+    intervals.
     """
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     offsets = half[:, None] * _KRONROD_NODES
     nodes = np.concatenate([center[:, None] - offsets, center[:, None] + offsets, center[:, None]],
-                           axis=1)
-    values = np.broadcast_to(np.asarray(fn(nodes), dtype=float), nodes.shape)
+                           axis=1).ravel()
+    values = np.broadcast_to(np.asarray(fn(nodes), dtype=float), nodes.shape).reshape(lo.size, 21)
     if not np.all(np.isfinite(values)):
         raise NumericalFailureError("integrand is not finite at a quadrature node")
     left, right, fc = values[:, :10], values[:, 10:20], values[:, 20]
+    pair = left + right
+    size = np.abs(left) + np.abs(right)
     kronrod = _KRONROD_CENTER_WEIGHT * fc
     gauss = np.zeros_like(fc)
     absolute = np.abs(kronrod)
     for j in _PAIR_ORDER:
-        pair = left[:, j] + right[:, j]
         if j % 2:
-            gauss = gauss + _GAUSS_WEIGHTS[j // 2] * pair
-        kronrod = kronrod + _KRONROD_WEIGHTS[j] * pair
-        absolute = absolute + _KRONROD_WEIGHTS[j] * (np.abs(left[:, j]) + np.abs(right[:, j]))
+            gauss += _GAUSS_WEIGHTS[j // 2] * pair[:, j]
+        kronrod += _KRONROD_WEIGHTS[j] * pair[:, j]
+        absolute += _KRONROD_WEIGHTS[j] * size[:, j]
     mean = 0.5 * kronrod
+    deviation = np.abs(left - mean[:, None]) + np.abs(right - mean[:, None])
     spread = _KRONROD_CENTER_WEIGHT * np.abs(fc - mean)
     for j in range(10):
-        spread = spread + _KRONROD_WEIGHTS[j] * (np.abs(left[:, j] - mean) + np.abs(right[:, j] - mean))
+        spread += _KRONROD_WEIGHTS[j] * deviation[:, j]
     width = np.abs(half)
     absolute, spread = absolute * width, spread * width
     err = np.abs((kronrod - gauss) * half)
@@ -228,7 +231,8 @@ def _qk21(fn: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _sum_in_order(a: np.ndarray) -> float:
-    """Left-to-right sum, the same bits on any machine and thread count."""
+    """Left-to-right sum with no blocked or threaded reduction, so its bits
+    are fixed by the values and their order."""
     return float(np.cumsum(a)[-1])
 
 

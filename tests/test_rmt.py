@@ -241,7 +241,8 @@ def _sine(k):
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_inversion_rejects_unconverged_quadrature():
-    # 2000 radians per unit of lambda: quad's error estimate is about 0.1
+    # 2000 radians per unit of lambda: the error estimate is about 1e-3
+    # (quad's was about 0.1)
     with pytest.raises(NumericalFailureError, match="quadrature"):
         distribution_action("p", MPModel(0.5), _sine(2000), method="inversion")
 
@@ -253,7 +254,7 @@ def _bump(w):
 
 @pytest.mark.parametrize("w", [0.01, 0.002])
 def test_inversion_rejects_under_resolved_function(w):
-    # quad never samples the bump, so its own error estimate stays tiny
+    # the adaptive rule never samples the bump, so its own error estimate stays tiny
     # (about 1e-33) while the value comes out near 0 instead of -0.371
     with pytest.raises(NumericalFailureError, match="fixed-node check"):
         distribution_action("p", MPModel(0.5), _bump(w), method="inversion")
