@@ -62,9 +62,9 @@ def check_alpha(alpha) -> float:
     return float(alpha)
 
 
-def default_lag_window_size(N: int, gamma0: int = 3) -> int:
-    """Bandwidth L = round(N^(1/(2*gamma0+1))) for a model of smoothness gamma0."""
-    return max(1, int(round(N ** (1.0 / (2 * gamma0 + 1)))))
+def default_lag_window_size(N: int) -> int:
+    """Bandwidth L = round(N^(1/7))."""
+    return max(1, int(round(N ** (1.0 / 7))))
 
 
 def grid_stride(N: int, stride: int | None = None) -> int:
@@ -308,15 +308,14 @@ def _raw_at(c: np.ndarray, f: SpectralFunction, mp_val: float) -> float:
     return raw
 
 
-def _raw_grid(panel: TimeSeriesPanel, cfg: LssConfig, nus: np.ndarray,
-              table: np.ndarray | None = None) -> np.ndarray:
+def _raw_grid(panel: TimeSeriesPanel, cfg: LssConfig, nus: np.ndarray) -> np.ndarray:
     """lss_raw at each frequency, each from its own window alone, so a
     frequency gets the same bits on any grid and from psi_at.
 
-    Pass a dft_grid table to share one FFT across on-grid frequencies.
+    One FFT table, built at the first on-grid frequency, serves them all.
     """
     mp_val = mp_integral_value(cfg.c_N, cfg.f)
-    windows = spectral._Windows(panel, cfg.B, table)
+    windows = spectral._Windows(panel, cfg.B)
     return np.array([_raw_at(windows.coherency(nu), cfg.f, mp_val) for nu in nus.tolist()])
 
 
@@ -392,7 +391,7 @@ def sweep_panel(panel: TimeSeriesPanel, cfg: LssConfig) -> Sweep:
     """Evaluate the whole grid with shared DFT and lag-window tables."""
     _check_panel_matches(panel, cfg)
     nus = cfg.grid_array
-    raw = _raw_grid(panel, cfg, nus, spectral.dft_grid(panel))
+    raw = _raw_grid(panel, cfg, nus)
     r_oracle = r_n_true(panel.model, cfg.M, nus)
     r_plugin, floored = r_hat_grid(panel, cfg.L, nus)
     vn = v_n(cfg.B, cfg.N)
@@ -409,7 +408,7 @@ def sup_over_grid(panel: TimeSeriesPanel, cfg: LssConfig) -> tuple[float, float,
     """(max |psi| over the grid, its frequency, all records)."""
     _check_panel_matches(panel, cfg)
     nus = cfg.grid_array
-    raw = _raw_grid(panel, cfg, nus, spectral.dft_grid(panel))
+    raw = _raw_grid(panel, cfg, nus)
     records = _records(cfg, nus, raw, panel)
     best, best_nu = sup_abs(nus, [rec.psi for rec in records])
     return best, best_nu, records

@@ -18,7 +18,11 @@ clockwise rectangle contour integral (1/(2 pi i)) oint f(z) p(z) dz.
 
 Quadrature is numpy only: an adaptive 21-point Gauss-Kronrod rule
 (QUADPACK's qk21) integrates array integrands, so a callable f must accept
-numpy arrays on every route (MP integral, inversion and contour).
+numpy arrays on every route (MP integral, inversion and contour).  Each
+inversion height is one such integral, from a first pass whose nodes are at
+most 1/16384 of the interval apart; its error estimate must be <= 1e-7, and
+then the last two Richardson extrapolants must agree to 1e-3.  The contour
+sum must agree with the sum on half its nodes to 1e-3 (1 + |value|).
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ _AXIS_NUDGE = 1e-12
 _INVERSION_YS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 _QUAD_MAX_ERROR = 1e-7  # the integrator's own error estimate, as in mp_integral
 _RICHARDSON_MAX_GAP = 1e-3  # between the last two extrapolants
-_CHECK_NODES = 2**14 + 1  # fixed trapezoid nodes checking each inversion level
-_CHECK_MAX_GAP = 1e-5  # relative to 1 + |level|
+_FIRST_PASS_INTERVALS = 1280  # qk21 nodes are then <= (a2 - a1) / 16384 apart
+_REFINE_INTERVALS = 400  # bisections allowed beyond the first pass
 _CONTOUR_NODES = 2048
+_CONTOUR_MAX_GAP = 1e-3  # against half the nodes, relative to 1 + |value|
 _CONTOUR_HALF_HEIGHT = 0.5
 _MARGIN = 0.1
 
@@ -404,14 +409,19 @@ def _action_interval(model: MPModel, f: SpectralFunction) -> tuple[float, float]
 
 def _inversion_level(model: MPModel, f: SpectralFunction, which: str, y: float,
                      a1: float, a2: float) -> float:
-    """(1/pi) int_a1^a2 f(x) Im transform(x + i y) dx by the adaptive rule,
-    with breakpoints at the support edges; raises if its error estimate
-    exceeds 1e-7."""
+    """(1/pi) int_a1^a2 f(x) Im transform(x + i y) dx by the adaptive rule
+    from equal intervals no wider than (a2 - a1) / 1280 on each of [a1, l-],
+    [l-, l+] and [l+, a2]; raises if its error estimate exceeds 1e-7."""
     def integrand(lam):
         return f(lam) * _correction_transform(model, lam + 1j * y, which).imag
 
-    breakpoints = [a1, model.lambda_minus, model.lambda_plus, a2]
-    v, err = _gauss_kronrod(integrand, breakpoints, 1e-10, 1e-10, 400)
+    edges = (a1, model.lambda_minus, model.lambda_plus, a2)
+    widest = (a2 - a1) / _FIRST_PASS_INTERVALS
+    pieces = [np.linspace(lo, hi, math.ceil((hi - lo) / widest) + 1)[:-1]
+              for lo, hi in zip(edges[:-1], edges[1:])]
+    breakpoints = np.concatenate(pieces + [[a2]])
+    v, err = _gauss_kronrod(integrand, breakpoints, 1e-10, 1e-10,
+                            breakpoints.size - 1 + _REFINE_INTERVALS)
     if not err <= _QUAD_MAX_ERROR:
         raise NumericalFailureError(
             f"inversion quadrature at y={y:g} did not converge (error estimate {err:.2e})")
@@ -419,22 +429,7 @@ def _inversion_level(model: MPModel, f: SpectralFunction, which: str, y: float,
 
 
 def _action_inversion(model, f, which, a1, a2) -> float:
-    xs = np.linspace(a1, a2, _CHECK_NODES)
-    f_xs = np.asarray(f(xs))
-
-    def level(y):
-        value = _inversion_level(model, f, which, y, a1, a2)
-        # the adaptive rule's error estimate cannot see a feature of f that
-        # falls between its nodes; a trapezoid on fixed nodes can
-        check = np.trapezoid(f_xs * _correction_transform(model, xs + 1j * y, which).imag, xs) / np.pi
-        gap = abs(value - check)
-        if not gap <= _CHECK_MAX_GAP * (1.0 + abs(value)):
-            raise NumericalFailureError(
-                f"inversion quadrature at y={y:g} disagrees with the fixed-node check "
-                f"({gap:.2e} apart, tolerance {_CHECK_MAX_GAP:g} * (1 + |level|))")
-        return value
-
-    table = [level(y) for y in _INVERSION_YS]
+    table = [_inversion_level(model, f, which, y, a1, a2) for y in _INVERSION_YS]
     for j in range(1, len(table)):
         gap = abs(table[1] - table[0])  # on the last pass: the last two extrapolants
         weight = 2.0 ** j
@@ -450,19 +445,26 @@ def _action_contour(model, f, which, a1, a2) -> float:
     corners = (a1 + 1j * h, a2 + 1j * h, a2 - 1j * h, a1 - 1j * h, a1 + 1j * h)
     lengths = [abs(corners[i + 1] - corners[i]) for i in range(4)]
     perimeter = sum(lengths)
-    total = 0.0 + 0.0j
+    totals = [0.0 + 0.0j, 0.0 + 0.0j]  # on every node, and on half as many
     for i in range(4):
         za, zb = corners[i], corners[i + 1]
         n_nodes = max(64, int(round(_CONTOUR_NODES * lengths[i] / perimeter)))
-        s = np.linspace(0.0, 1.0, n_nodes)
-        zs = za + (zb - za) * s
-        g = np.asarray(f(zs), dtype=complex) * _transform_anywhere(model, zs, which)
-        total += (zb - za) * np.trapezoid(g, s)
-    value = total / (2j * np.pi)
+        for k, n in enumerate((n_nodes, n_nodes // 2)):
+            s = np.linspace(0.0, 1.0, n)
+            zs = za + (zb - za) * s
+            g = np.asarray(f(zs), dtype=complex) * _transform_anywhere(model, zs, which)
+            totals[k] += (zb - za) * np.trapezoid(g, s)
+    value, coarse = (total / (2j * np.pi) for total in totals)
     if abs(value.imag) > 1e-6 * (1.0 + abs(value.real)):
         raise NumericalFailureError(
             f"contour action has a nonreal residue {value.imag:.3e}; the path may cross a singularity"
         )
+    # a path close to a singularity of f (log's at 0) is under-resolved, and
+    # then the sum on half the nodes differs visibly
+    gap = abs(value - coarse)
+    if not gap <= _CONTOUR_MAX_GAP * (1.0 + abs(value)):
+        raise NumericalFailureError(
+            f"contour action is under-resolved: the sum on half the nodes is {gap:.2e} away")
     return float(value.real)
 
 
@@ -473,11 +475,12 @@ def distribution_action(transform: str, model: MPModel, f: SpectralFunction, met
     """<D, f> for the distribution behind ``transform`` ('p' or 'p_tilde').
 
     method='inversion' integrates f * Im(transform) just above the axis at
-    y in {1e-2, 5e-3, 2.5e-3, 1.25e-3} with the adaptive Gauss-Kronrod rule
-    and Richardson-extrapolates to y=0, checking each height's value against
-    a trapezoid on 2**14 + 1 fixed nodes;
+    y in {1e-2, 5e-3, 2.5e-3, 1.25e-3} with the adaptive Gauss-Kronrod rule,
+    whose error estimate must be <= 1e-7, and Richardson-extrapolates to
+    y=0, where the last two extrapolants must agree to 1e-3;
     method='contour' (analytic f only) integrates f * transform clockwise
-    around the support rectangle with a 2048-node trapezoid rule;
+    around the support rectangle with a 2048-node trapezoid rule, which must
+    agree with the rule on half the nodes to 1e-3 (1 + |value|);
     method='auto' picks contour for analytic f.  Every route applies f to
     numpy arrays, so a callable f must accept them.  Values are cached per
     (transform, c, f, method).

@@ -36,14 +36,11 @@ class ModelSpec:
 
     theta is the AR(1) coefficient (real, |theta| < 1).  theta = 0 reduces
     ar1 to white_noise exactly, including the sample path for a given seed.
-    gamma0 >= 3 is the regularity exponent that drives the default
-    lag-window size L ~ N**(1/(2*gamma0+1)).  Complex theta is a possible
-    extension but is not supported.
+    Complex theta is a possible extension but is not supported.
     """
 
     kind: str
     theta: float = 0.0
-    gamma0: int = 3
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -58,17 +55,14 @@ class ModelSpec:
             raise InvalidArgumentError("white_noise does not take a theta")
         if abs(theta) >= 1.0:
             raise InvalidArgumentError(f"|theta| < 1 required, got {theta}")
-        if not isinstance(self.gamma0, (int, np.integer)) or self.gamma0 < 3:
-            raise InvalidArgumentError(f"gamma0 must be an integer >= 3, got {self.gamma0}")
-        object.__setattr__(self, "gamma0", int(self.gamma0))
 
     @classmethod
-    def white_noise(cls, gamma0: int = 3) -> "ModelSpec":
-        return cls("white_noise", 0.0, gamma0)
+    def white_noise(cls) -> "ModelSpec":
+        return cls("white_noise", 0.0)
 
     @classmethod
-    def ar1(cls, theta: float, gamma0: int = 3) -> "ModelSpec":
-        return cls("ar1", theta, gamma0)
+    def ar1(cls, theta: float) -> "ModelSpec":
+        return cls("ar1", theta)
 
     @property
     def is_white(self) -> bool:

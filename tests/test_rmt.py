@@ -239,30 +239,56 @@ def _sine(k):
     return SpectralFunction.from_callable(lambda x: np.sin(k * np.asarray(x)), label=f"sin({k}x)")
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_inversion_rejects_unconverged_quadrature():
-    # 2000 radians per unit of lambda: the error estimate is about 1e-3
-    # (quad's was about 0.1)
-    with pytest.raises(NumericalFailureError, match="quadrature"):
-        distribution_action("p", MPModel(0.5), _sine(2000), method="inversion")
-
-
 def _bump(w):
     return SpectralFunction.from_callable(lambda x: np.exp(-((np.asarray(x) - 1.2) / w) ** 2) / w,
                                           label=f"bump({w})")
 
 
-@pytest.mark.parametrize("w", [0.01, 0.002])
-def test_inversion_rejects_under_resolved_function(w):
-    # the adaptive rule never samples the bump, so its own error estimate stays tiny
-    # (about 1e-33) while the value comes out near 0 instead of -0.371
-    with pytest.raises(NumericalFailureError, match="fixed-node check"):
-        distribution_action("p", MPModel(0.5), _bump(w), method="inversion")
-
-
-def test_inversion_resolves_a_wide_bump():
-    assert distribution_action("p", MPModel(0.5), _bump(0.03), method="inversion") == pytest.approx(
+@pytest.mark.parametrize("w", [0.03, 0.01, 0.002, 1e-4, 3e-5])
+def test_inversion_resolves_a_wide_bump(w):
+    # a first pass of 3 intervals never samples the bump for w <= 0.01 and
+    # its error estimate stays near 1e-33; the dense first pass meets it
+    assert distribution_action("p", MPModel(0.5), _bump(w), method="inversion") == pytest.approx(
         -0.371, abs=1e-3)
+
+
+def _recording(f):
+    # f that keeps every array it is applied to
+    calls = []
+
+    def fn(x):
+        calls.append(np.array(x))
+        return f(x)
+
+    return SpectralFunction.from_callable(fn, positive_domain=f.positive_domain, label=f.label), calls
+
+
+@pytest.mark.parametrize("name", ["square_centered", "log"])
+@pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
+def test_first_pass_leaves_no_wide_gap(c, name):
+    model = MPModel(c)
+    f, calls = _recording(spectral_function(name))
+    a1, a2 = rmt._action_interval(model, f)
+    rmt._inversion_level(model, f, "p", rmt._INVERSION_YS[0], a1, a2)
+    nodes = np.sort(calls[0])
+    gaps = np.diff(np.concatenate([[a1], nodes, [a2]]))
+    assert nodes[0] > a1 and nodes[-1] < a2
+    assert gaps.max() <= (a2 - a1) / 16384
+
+
+def test_inversion_rejects_unconverged_quadrature():
+    # 2000 radians per unit of lambda: about 1000 periods over [a1, a2], which
+    # the first pass resolves; each level matches quad on the same integrand
+    model = MPModel(0.5)
+    a1, a2 = rmt._action_interval(model, _sine(2000))
+    for y in rmt._INVERSION_YS:
+        value = rmt._inversion_level(model, _sine(2000), "p", y, a1, a2)
+        expected = _quad_level(model, _sine(2000), "p", y, a1, a2, limit=1000)
+        assert abs(value - expected) <= 1e-13
+    # ten times faster: the error estimate stays about 0.5 after the
+    # refinement budget is spent
+    with pytest.raises(NumericalFailureError, match="did not converge"):
+        distribution_action("p", model, _sine(20000), method="inversion")
 
 
 def test_inversion_rejects_unconverged_extrapolation():
@@ -270,6 +296,28 @@ def test_inversion_rejects_unconverged_extrapolation():
     # extrapolants differ by about 8e-3
     with pytest.raises(NumericalFailureError, match="Richardson"):
         distribution_action("p", MPModel(0.5), _sine(600), method="inversion")
+
+
+@pytest.mark.parametrize("which, exact", [("p", -0.4), ("p_tilde", -1.0)])
+def test_log_action_holds_up_to_c_0_8(which, exact):
+    # <D, log> is -c/2 for p and -1 for p_tilde; at c = 0.8 the contour
+    # route is within 2e-5 and the inversion route within 5e-4
+    model, f = MPModel(0.8), spectral_function("log")
+    assert distribution_action(which, model, f, method="contour") == pytest.approx(exact, abs=2e-5)
+    assert distribution_action(which, model, f, method="inversion") == pytest.approx(exact, abs=5e-4)
+
+
+@pytest.mark.parametrize("which", rmt.TRANSFORM_NAMES)
+def test_log_action_fails_loudly_at_c_0_9(which):
+    # log's singularity at 0 sits close to a1 = lambda_minus / 2 = 0.0013: the
+    # inversion levels converge but are too far from their limit for the
+    # extrapolation (about 1e-2 apart), and the contour sum moves by about
+    # 4e-2 on half its nodes while its value is off by about 1e-2
+    model, f = MPModel(0.9), spectral_function("log")
+    with pytest.raises(NumericalFailureError, match="Richardson"):
+        distribution_action(which, model, f, method="inversion")
+    with pytest.raises(NumericalFailureError, match="under-resolved"):
+        distribution_action(which, model, f, method="contour")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -283,14 +331,14 @@ def test_branch_fallback_must_reach_upper_half_plane():
         mp_stieltjes(MPModel(0.5), complex(np.nan, 1.0))
 
 
-def _quad_level(model, f, which, y, a1, a2):
-    # the parent route: quad on the scalar integrand, breakpoints at the edges
+def _quad_level(model, f, which, y, a1, a2, limit=400):
+    # quad on the scalar integrand, breakpoints at the support edges
     def integrand(lam):
         return float(f(lam)) * complex(rmt._correction_transform(model, np.array([complex(lam, y)]),
                                                                  which)[0]).imag
 
     v, _ = integrate.quad(integrand, a1, a2, points=[model.lambda_minus, model.lambda_plus],
-                          limit=400, epsabs=1e-10, epsrel=1e-10)
+                          limit=limit, epsabs=1e-10, epsrel=1e-10)
     return v / np.pi
 
 

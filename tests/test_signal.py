@@ -33,8 +33,6 @@ def test_model_validation():
         ModelSpec.ar1(-1.2)
     with pytest.raises(InvalidArgumentError):
         ModelSpec.ar1(0.3 + 0.1j)
-    with pytest.raises(InvalidArgumentError):
-        ModelSpec.ar1(0.4, gamma0=2)
     assert ModelSpec.ar1(0.0).is_white
     assert ModelSpec.white_noise().is_white
     assert not ModelSpec.ar1(0.4).is_white
