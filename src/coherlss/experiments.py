@@ -326,21 +326,62 @@ def eigenvalue_localization_check(cfg: ExperimentConfig, epsilon: float = 0.5):
             or not math.isfinite(epsilon) or epsilon <= 0):
         raise InvalidArgumentError(f"epsilon must be a positive finite real, got {epsilon!r}")
     lcfg = cfg.lss_config()
-    model = cfg.model()
     mp = MPModel(lcfg.c_N)
-    lm, lp = mp.lambda_minus, mp.lambda_plus
-
-    def one(sd: int) -> float:
-        panel = simulate_panel(model, cfg.M, cfg.N, sd)
-        windows = spectral._Windows(panel, cfg.B)
-        worst = 0.0
-        for nu in lcfg.grid:
-            eigs = np.linalg.eigvalsh(windows.coherency(nu))
-            worst = max(worst, lm - float(eigs[0]), float(eigs[-1]) - lp)
-        return worst
-
+    one = functools.partial(_localization_worst, cfg.model(), lcfg,
+                            mp.lambda_minus, mp.lambda_plus)
     worst = max(max(_parallel_map(one, cfg.replicate_seeds(), cfg.threads)), 0.0)
     return worst <= epsilon, worst
+
+
+def _localization_worst(model: ModelSpec, lcfg: LssConfig, lm: float, lp: float,
+                        seed: int) -> float:
+    """Largest excursion beyond [lm, lp] of one replicate's coherency
+    eigenvalues on the grid, and 0.0 if none leaves it.
+
+    A window is solved with eigvalsh only when Cholesky cannot certify that
+    its eigenvalues lie inside [lm - worst + delta, lp + worst - delta],
+    worst being the running excursion. A Cholesky that completes on a
+    Hermitian A proves A + E positive definite with
+    ||E||_2 <= M(M+1) eps max a_ii (Demmel 1989; Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10), and eigvalsh is backward
+    stable, so its eigenvalues are exact for C + F with ||F||_2 a small
+    multiple of M^2 eps ||C||_2. Both read only the lower triangle of C, so
+    they see one Hermitian matrix. Every diagonal entry of the shifted
+    matrices is at most 1 + lp + worst, and so is ||C||_2 on a certified
+    window, so delta = 4 (M+1)^2 eps (1 + lp + worst) dominates both errors:
+    a certified window's computed excursion is at most worst, and skipping it
+    leaves the running max, and with it the result, with the same bits as an
+    eigensolve at every window.
+    """
+    windows = spectral._Windows(simulate_panel(model, lcfg.M, lcfg.N, seed), lcfg.B)
+    margin = 4.0 * (lcfg.M + 1) ** 2 * np.finfo(float).eps
+    worst = 0.0
+    for nu in lcfg.grid:
+        c = windows.coherency(nu)
+        delta = margin * (1.0 + lp + worst)
+        if _certified_inside(c, lm - worst + delta, lp + worst - delta):
+            continue
+        eigs = np.linalg.eigvalsh(c)
+        worst = max(worst, lm - float(eigs[0]), float(eigs[-1]) - lp)
+    return worst
+
+
+def _certified_inside(c: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether Cholesky factors hi I - C and, when lo > 0, C - lo I.
+
+    C is a coherency matrix, whose diagonal is exactly 1.
+    """
+    shifted = np.negative(c)
+    np.fill_diagonal(shifted, hi - 1.0)
+    try:
+        np.linalg.cholesky(shifted)
+        if lo > 0.0:
+            np.copyto(shifted, c)
+            np.fill_diagonal(shifted, 1.0 - lo)
+            np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _dirichlet_sum(K, delta: float):
@@ -358,6 +399,14 @@ def dft_covariance_check(model: ModelSpec, N_list, nu1: float, nu2: float):
     Uses the O(N) split over the autocovariance lag u (truncated where
     |r_u| < 1e-16); rows are (N, deviation, deviation * N).
     """
+    if not isinstance(N_list, (list, tuple)) or not N_list or not all(
+            isinstance(N, numbers.Integral) and not isinstance(N, bool) and N > 0
+            for N in N_list):
+        raise InvalidArgumentError(
+            f"N_list must be a nonempty list of positive integers, got {N_list!r}")
+    for nu in (nu1, nu2):
+        if isinstance(nu, bool) or not isinstance(nu, numbers.Real) or not math.isfinite(nu):
+            raise InvalidArgumentError(f"frequencies must be finite reals, got {nu!r}")
     rows = []
     for N in N_list:
         N = int(N)

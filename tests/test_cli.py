@@ -143,6 +143,15 @@ def test_validate_quick(tmp_path, capsys):
     assert all(entry["passed"] for entry in payload["summary"]["checks"].values())
 
 
+def test_validate_byte_identical_across_threads(tmp_path):
+    outs = [tmp_path / f"threads{t}" for t in (1, 2)]
+    for t, out in zip((1, 2), outs):
+        assert run(["validate", "--quick", "--replicates", "2", "--threads", str(t),
+                    "--out-dir", str(out)]) == EXIT_OK
+    assert (outs[0] / "validate_summary.json").read_bytes() == \
+        (outs[1] / "validate_summary.json").read_bytes()
+
+
 def test_scaling_rejects_sweep_only_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"N": 512}))

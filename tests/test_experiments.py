@@ -16,6 +16,7 @@ from coherlss import (
     frequency_sweep,
     histogram_study,
     scaling_study,
+    spectral,
     split_seed,
 )
 from coherlss.experiments import (
@@ -25,6 +26,8 @@ from coherlss.experiments import (
     write_histogram_outputs,
     write_sweep_outputs,
 )
+from coherlss.rmt import MPModel
+from coherlss.signal import simulate_panel
 
 
 def _quick_cfg(**over):
@@ -217,6 +220,67 @@ def test_localization_rejects_bad_epsilon():
             eigenvalue_localization_check(_quick_cfg(), epsilon=bad)
 
 
+def _excursions_by_eigvalsh(cfg):
+    """Largest excursions below lambda_minus and above lambda_plus, from
+    eigvalsh at every window of every replicate."""
+    lcfg = cfg.lss_config()
+    mp = MPModel(lcfg.c_N)
+    below = above = -np.inf
+    for seed in cfg.replicate_seeds():
+        windows = spectral._Windows(simulate_panel(cfg.model(), cfg.M, cfg.N, seed), cfg.B)
+        for nu in lcfg.grid:
+            eigs = np.linalg.eigvalsh(windows.coherency(nu))
+            below = max(below, mp.lambda_minus - float(eigs[0]))
+            above = max(above, float(eigs[-1]) - mp.lambda_plus)
+    return below, above
+
+
+# (N, B, M, theta), and the side of the largest excursion in some seed
+_LOCALIZATION_ORACLE = [
+    pytest.param((512, 96, 10, 0.4), "below", id="below"),
+    pytest.param((512, 96, 90, 0.4), "above", id="above"),
+    pytest.param((512, 96, 48, 0.0), None, id="white-noise"),
+    pytest.param((256, 32, 1, 0.4), "inside", id="one-row"),  # C = [1]
+    pytest.param((1024, 200, 190, 0.9), "fails", id="fails"),  # worst is about 7
+]
+
+
+@pytest.mark.parametrize("shape,side", _LOCALIZATION_ORACLE)
+def test_localization_matches_eigvalsh_everywhere(shape, side):
+    # the Cholesky certificates only skip windows that cannot raise the
+    # running max, so worst has the bits of an eigensolve at every window
+    N, B, M, theta = shape
+    sides = []
+    for seed in range(3):
+        cfg = ExperimentConfig(N=N, B=B, M=M, theta=theta, replicates=1, seed=seed,
+                               grid_stride=N // 32)
+        below, above = _excursions_by_eigvalsh(cfg)
+        passed, worst = eigenvalue_localization_check(cfg)
+        assert worst == max(below, above, 0.0)
+        assert passed == (side != "fails")
+        sides.append("inside" if max(below, above) <= 0.0
+                     else "below" if below > above else "above")
+    if side == "fails":
+        assert worst > 5.0
+    elif side is not None:
+        assert side in sides
+
+
+def test_localization_solves_few_windows(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    cfg = ExperimentConfig(N=512, B=96, M=48, theta=0.4, replicates=2, seed=3, grid_stride=8)
+    eigenvalue_localization_check(cfg)
+    # 128 windows, of which 4 raise the running max and need an eigensolve
+    assert 0 < len(calls) < 16
+
+
 # --- exact DFT covariance -----------------------------------------------------
 
 
@@ -239,6 +303,20 @@ def test_dft_covariance_ar1_rate():
 def test_dft_covariance_off_grid_rejected():
     with pytest.raises(InvalidArgumentError):
         dft_covariance_check(ModelSpec.ar1(0.4), [100], 0.2501, 0.2501)
+
+
+@pytest.mark.parametrize("N_list", [[0], [-4], [256.5], [], [True], (256, 0), 256])
+def test_dft_covariance_rejects_bad_lengths(N_list):
+    with pytest.raises(InvalidArgumentError, match="N_list"):
+        dft_covariance_check(ModelSpec.ar1(0.4), N_list, 0.25, 0.25)
+
+
+@pytest.mark.parametrize("nu", [float("nan"), float("inf"), "0.25", None, True])
+def test_dft_covariance_rejects_bad_frequencies(nu):
+    with pytest.raises(InvalidArgumentError, match="frequencies"):
+        dft_covariance_check(ModelSpec.ar1(0.4), [256], nu, 0.25)
+    with pytest.raises(InvalidArgumentError, match="frequencies"):
+        dft_covariance_check(ModelSpec.ar1(0.4), [256], 0.25, nu)
 
 
 # --- writers ------------------------------------------------------------------
