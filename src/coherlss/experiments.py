@@ -156,6 +156,15 @@ def _sups(sw: lss.Sweep) -> tuple:
     return tuple(lss.sup_abs(sw.nu, x)[0] for x in (sw.lss_raw, sw.psi, sw.psi_hat))
 
 
+def _mean_skipping_nan(stack: np.ndarray) -> np.ndarray:
+    """Mean over the first axis of the non-NaN entries, NaN where there are
+    none; with no NaN it has the bits of stack.mean(axis=0)."""
+    defined = ~np.isnan(stack)
+    total = np.where(defined, stack, 0.0).sum(axis=0)
+    count = defined.sum(axis=0)
+    return np.divide(total, count, out=np.full(total.shape, np.nan), where=count > 0)
+
+
 @dataclasses.dataclass(frozen=True)
 class SweepResult:
     config: dict
@@ -182,7 +191,7 @@ def frequency_sweep(cfg: ExperimentConfig) -> SweepResult:
 
     n_grid = len(lcfg.grid)
     stack = np.array([[row[:8] for row in rec.rows] for rec in records], dtype=float)
-    mean = stack.mean(axis=0)  # (n_grid, 8): means of nu..psi_hat columns
+    mean = _mean_skipping_nan(stack)  # (n_grid, 8): means of nu..psi_hat columns
     mean_rows = tuple(
         (float(mean[j, 0]), float(mean[j, 1]), vn, float(mean[j, 3]), float(mean[j, 4]),
          phi, float(mean[j, 6]), float(mean[j, 7]), -1)
@@ -202,6 +211,8 @@ def frequency_sweep(cfg: ExperimentConfig) -> SweepResult:
         "median_sup_psi": median_sup_psi,
         "median_sup_psi_hat": median_sup_psi_hat,
         "floored_total": int(sum(rec.floored for rec in records)),
+        "plugin_degenerate_total": int(sum(np.count_nonzero(np.isnan(sw.r_plugin))
+                                           for sw in reps)),
         "flags": {
             "improved_fraction_ge_080": fraction >= 0.8,
             "plugin_sup_within_2x": median_sup_psi_hat <= 2.0 * median_sup_psi,

@@ -133,10 +133,6 @@ class LssConfig:
         except InvalidArgumentError as exc:
             raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "f", f)
-        if f.positive_domain and B + 1 < M:
-            raise ConfigError(
-                f"f={f.label} needs B+1 >= M (rank-deficient coherency otherwise), got B+1={B + 1}, M={M}"
-            )
 
         if self.correction_mode not in CORRECTION_MODES:
             raise ConfigError(
@@ -247,19 +243,27 @@ def r_n_true(model: ModelSpec, M: int, nu):
     return float(out) if np.isscalar(nu) or np.asarray(nu).ndim == 0 else out
 
 
-def r_hat_grid(panel: TimeSeriesPanel, L: int, nus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Plug-in estimate of r at each frequency and its count of floored rows."""
+def r_hat_grid(panel: TimeSeriesPanel, L: int, nus: np.ndarray,
+               strict: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Plug-in estimate of r at each frequency and its count of floored rows.
+
+    Where every row's density estimate is <= 0, r cannot be formed: strict
+    raises DegenerateEstimateError, and otherwise r is NaN there, with no
+    floored row.
+    """
     s, sp = spectral.lag_window_grid(spectral.lag_covariances(panel.data, L), nus)
     s_max = s.max(axis=0)
-    bad = np.flatnonzero(s_max <= 0.0)
-    if bad.size:
+    degenerate = s_max <= 0.0
+    if strict and degenerate.any():
+        bad = np.flatnonzero(degenerate)
         k = bad[0]
         raise DegenerateEstimateError(
             f"all lag-window density estimates are nonpositive at {bad.size} of {s_max.size} "
             f"frequencies (L={L}); the first is nu={float(nus[k])!r}, where the largest row "
             f"estimate is {s_max[k]:.3e}"
         )
-    floor = _S_FLOOR_FRACTION * s_max
+    # a degenerate frequency divides by 1 instead of ~0, and its r is dropped
+    floor = np.where(degenerate, 1.0, _S_FLOOR_FRACTION * s_max)
     ratio = sp / np.maximum(s, floor)
     # a mean along the contiguous axis sums in the same order as the 1-D mean
     # over one frequency's rows; the square is taken on Python floats (libm
@@ -267,7 +271,8 @@ def r_hat_grid(panel: TimeSeriesPanel, L: int, nus: np.ndarray) -> tuple[np.ndar
     # output files stay byte-stable
     means = np.mean(np.ascontiguousarray(ratio.T), axis=1)
     r = np.array([m ** 2 for m in means.tolist()])
-    return r, np.count_nonzero(s < floor, axis=0)
+    r[degenerate] = np.nan
+    return r, np.where(degenerate, 0, np.count_nonzero(s < floor, axis=0))
 
 
 _MP_CACHE: dict = {}
@@ -320,10 +325,14 @@ def _raw_grid(panel: TimeSeriesPanel, cfg: LssConfig, nus: np.ndarray) -> np.nda
 
 
 def sup_abs(nu: np.ndarray, values) -> tuple[float, float]:
-    """(max |values|, its frequency); ties break to the smallest frequency,
-    so the result is independent of grid ordering."""
+    """(max |values|, its frequency), skipping NaN values, and (NaN, NaN)
+    when every value is NaN; ties break to the smallest frequency, so the
+    result is independent of grid ordering."""
     a = np.abs(values)
-    best = a.max()
+    defined = a[~np.isnan(a)]
+    if not defined.size:
+        return math.nan, math.nan
+    best = defined.max()
     return float(best), float(np.min(nu[a == best]))
 
 
@@ -374,7 +383,9 @@ class Sweep(NamedTuple):
     """The whole grid of one panel, one array entry per frequency, with
     both corrections: psi takes the oracle r and psi_hat the plug-in r,
     whatever the config's correction_mode.  v_n and phi are the scalars
-    both share; floored counts r-hat's floored rows."""
+    both share; floored counts r-hat's floored rows.  Unless the mode is
+    plugin, r_plugin and psi_hat are NaN where every row's lag-window
+    density estimate is <= 0 (see r_hat_grid)."""
 
     nu: np.ndarray
     lss_raw: np.ndarray
@@ -393,7 +404,7 @@ def sweep_panel(panel: TimeSeriesPanel, cfg: LssConfig) -> Sweep:
     nus = cfg.grid_array
     raw = _raw_grid(panel, cfg, nus)
     r_oracle = r_n_true(panel.model, cfg.M, nus)
-    r_plugin, floored = r_hat_grid(panel, cfg.L, nus)
+    r_plugin, floored = r_hat_grid(panel, cfg.L, nus, strict=cfg.correction_mode == "plugin")
     vn = v_n(cfg.B, cfg.N)
     phi = phi_value(cfg.c_N, cfg.f)
     return Sweep(

@@ -86,12 +86,22 @@ class _Windows:
 
     On the Fourier grid a window's columns are cut at the multiples of the
     block width beta = max(1, (B+1)//4) of the column index k mod N, and at
-    N where the window wraps. S is the sum, in window order, of the Gram of
-    each whole block and of a direct product for each ragged end, so the
-    cut, and with it every bit of S, depends on (k, B, N) alone: a frequency
-    gets the same S on any grid, in any order and on its own. A block's Gram
-    is kept while the next window still needs it: after each window only
-    that window's Grams are held, at most ceil((B+1)/beta) + 1 of them.
+    N where the window wraps. A block the window covers more than half of
+    (a whole block, or a long ragged end) enters through the block's Gram;
+    for a long ragged end the block's uncovered columns are subtracted
+    again. The columns of the shorter ragged ends are added directly. So
+    S = A A^H + G - D D^H, in that order: A gathers the added columns and D
+    the subtracted ones, at most floor(beta/2) of each per end, in window
+    order, and G is the window-order sum of the block Grams. The cut, and
+    with it every bit of S, depends on (k, B, N) alone: a frequency gets
+    the same S on any grid, in any order and on its own. Against one direct
+    product W W^H, S differs at the ulp level (a relative error of at most
+    7e-16 in the Frobenius norm on the configs of the block-sum test).
+
+    A block's Gram is kept while the next window still needs it: after each
+    window only that window's Grams are held, at most ceil((B+1)/beta) + 1
+    of them, together with G, which is summed again only when the window's
+    tuple of block starts changes.
 
     ``table`` is the panel's dft_grid output, computed at the first on-grid
     window when not given.
@@ -103,6 +113,14 @@ class _Windows:
         self.width = max(1, (self.B + 1) // 4)
         self.table = table
         self.grams: dict[int, np.ndarray] = {}
+        self.block_sum: tuple[tuple, np.ndarray | None] = ((), None)
+
+    def _gram_of_spans(self, spans: list) -> np.ndarray | None:
+        """A A^H of the columns in the spans [a, b), or None when there are none."""
+        if not spans:
+            return None
+        cols = [self.table[:, a:b] for a, b in spans]
+        return _gram(cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1))
 
     def _on_grid(self, k: int) -> np.ndarray:
         if self.table is None:
@@ -110,24 +128,37 @@ class _Windows:
         n, width = self.panel.N, self.width
         a = (k - self.B // 2) % n
         left = self.B + 1
-        held = {}
-        s = None
+        starts, added, subtracted = [], [], []
         while left:
-            b = min(n, (a // width + 1) * width, a + left)
-            if a % width == 0 and b == min(n, a + width):
-                g = self.grams.get(a)
-                if g is None:
-                    g = _gram(self.table[:, a:b])
-                held[a] = g
+            lo = a - a % width
+            hi = min(n, lo + width)
+            b = min(hi, a + left)
+            if 2 * (b - a) > hi - lo:
+                starts.append(lo)
+                subtracted += [(c, d) for c, d in ((lo, a), (b, hi)) if c < d]
             else:
-                g = _gram(self.table[:, a:b])
-            if s is None:
-                s = g.copy()  # a held Gram must not be summed into
-            else:
-                s += g
+                added.append((a, b))
             left -= b - a
             a = b % n
-        self.grams = held
+        key = tuple(starts)
+        if key != self.block_sum[0]:
+            held = {}
+            for lo in key:
+                g = self.grams.get(lo)
+                held[lo] = _gram(self.table[:, lo:min(n, lo + width)]) if g is None else g
+            total = held[key[0]].copy()  # a held Gram must not be summed into
+            for lo in key[1:]:
+                total += held[lo]
+            self.grams, self.block_sum = held, (key, total)
+        total = self.block_sum[1]
+        s = self._gram_of_spans(added)
+        if s is None:
+            s = total.copy()
+        else:
+            s += total
+        d = self._gram_of_spans(subtracted)
+        if d is not None:
+            s -= d
         return s
 
     def periodogram(self, nu: float) -> np.ndarray:

@@ -121,6 +121,41 @@ def test_frequency_sweep_psi_identity_per_row():
             assert psi_hat == raw - r_p * phi * vn
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["oracle", "none"])
+def test_study_survives_degenerate_plugin_estimate(mode):
+    # theta=0.9 with L=2: on 43 of the 128 frequencies every row's
+    # lag-window density estimate is <= 0; outside plugin mode the study
+    # completes, r_plugin and psi_hat are NaN there, sups and means skip
+    # those cells, and the summary counts them
+    cfg = ExperimentConfig(N=512, B=96, M=48, theta=0.9, grid_stride=4, correction_mode=mode)
+    res = frequency_sweep(cfg)
+    assert res.summary["plugin_degenerate_total"] == 43
+    rows = np.array(res.records[0].rows)
+    degenerate = np.isnan(rows[:, 7])
+    np.testing.assert_array_equal(np.isnan(rows[:, 4]), degenerate)
+    assert np.count_nonzero(degenerate) == 43 and rows[degenerate][0, 0] == 0.2265625
+    assert np.all(np.isfinite(rows[:, [1, 3, 6]]))
+    assert res.summary["median_sup_psi_hat"] == np.max(np.abs(rows[~degenerate, 7]))
+    assert res.summary["median_sup_psi"] == np.max(np.abs(rows[:, 6]))
+    means = np.array(res.mean_rows)
+    np.testing.assert_array_equal(np.isnan(means[:, 7]), degenerate)
+
+    two = frequency_sweep(dataclasses.replace(cfg, replicates=2))
+    stack = np.array([rec.rows for rec in two.records])[:, :, 7]
+    per_replicate = np.count_nonzero(np.isnan(stack), axis=1)
+    assert two.summary["plugin_degenerate_total"] == per_replicate.sum()
+    means = np.array(two.mean_rows)[:, 7]
+    for j in range(stack.shape[1]):
+        defined = stack[~np.isnan(stack[:, j]), j]
+        if defined.size:
+            assert means[j] == pytest.approx(np.mean(defined), rel=1e-15)
+        else:
+            assert np.isnan(means[j])
+    hist = histogram_study(dataclasses.replace(cfg, replicates=2))
+    assert all(np.isfinite(row[4]) for row in hist.rows)
+
+
 def test_frequency_sweep_inactive_bandwidth_exponent():
     # alpha = log(32)/log(256) = 0.625 <= 2/3 disables the correction term
     res = frequency_sweep(_quick_cfg(B=32, M=16))

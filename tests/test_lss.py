@@ -260,22 +260,36 @@ def test_r_n_hat_validation():
 
 def test_degenerate_lag_window_says_where():
     # a strong AR(1) with L=2: every row's density estimate is <= 0 on a
-    # band of mid frequencies, so the plug-in r cannot be formed there
+    # band of mid frequencies, so the plug-in r cannot be formed there, and
+    # every plugin-mode entry point says so
     from coherlss import ExperimentConfig, frequency_sweep, split_seed
 
-    cfg = ExperimentConfig(N=512, B=96, M=48, theta=0.9, grid_stride=4)
-    with pytest.raises(DegenerateEstimateError) as err:
-        frequency_sweep(cfg)
-    assert str(err.value) == (
+    cfg = ExperimentConfig(N=512, B=96, M=48, theta=0.9, grid_stride=4,
+                           correction_mode="plugin")
+    message = (
         "all lag-window density estimates are nonpositive at 43 of 128 frequencies (L=2); "
         "the first is nu=0.2265625, where the largest row estimate is -5.458e-01"
     )
-    # oracle mode never estimates r, so the same panel still evaluates
+    with pytest.raises(DegenerateEstimateError) as err:
+        frequency_sweep(cfg)
+    assert str(err.value) == message
     lcfg = cfg.lss_config()
     panel = simulate_panel(cfg.model(), 48, 512, seed=split_seed(cfg.seed, 0))
+    with pytest.raises(DegenerateEstimateError) as err:
+        sup_over_grid(panel, lcfg)
+    assert str(err.value) == message
+    with pytest.raises(DegenerateEstimateError):
+        psi_at(panel, lcfg, 0.2265625)
+    # oracle mode never estimates r, so the same panel still evaluates
+    lcfg = dataclasses.replace(lcfg, correction_mode="oracle")
     best, _, records = sup_over_grid(panel, lcfg)
     assert len(records) == 128 and math.isfinite(best)
     assert psi_at(panel, lcfg, 0.3).mode == "oracle"
+    # and outside plugin mode r-hat is NaN exactly where it cannot be formed
+    r, floored = r_hat_grid(panel, 2, lcfg.grid_array, strict=False)
+    assert np.count_nonzero(np.isnan(r)) == 43
+    assert lcfg.grid[np.flatnonzero(np.isnan(r))[0]] == 0.2265625
+    assert np.all(floored[np.isnan(r)] == 0)
 
 
 def test_callable_integrals_key_on_the_function():

@@ -108,11 +108,17 @@ def _direct_periodogram(table, k, B):
 
 
 @pytest.mark.parametrize("N, B", [(257, 0), (257, 2), (257, 8), (257, 96), (1063, 96),
-                                  (1063, 8), (65, 64), (256, 96)])
+                                  (1063, 8), (65, 64), (256, 96),
+                                  (257, 100), (520, 130), (1063, 256), (2048, 256)])
 def test_block_sum_matches_direct_window(N, B):
     # windows that wrap past 0 and N-1, N not a multiple of the block width,
     # and B+1 = N; the grid walk (Grams reused across windows) and the
-    # single-window form both match the oracle
+    # single-window form both match the oracle. The last four cases take a
+    # block Gram minus its uncovered columns at both ends of one window
+    # (beta = 25, 32 and 64 with B+1 = 4 beta + 1 or + 3), split a block
+    # exactly in half (beta = 32 and 64, and the last block [512, 520) of
+    # 8 columns), and subtract from the short last block [N//beta * beta, N)
+    # (1063 = 16 * 64 + 39, 257 = 10 * 25 + 7, 520 = 16 * 32 + 8)
     from coherlss.spectral import _Windows, periodogram_values
 
     panel = simulate_panel(ModelSpec.ar1(0.4), 5, N, seed=N + B)
@@ -123,6 +129,42 @@ def test_block_sum_matches_direct_window(N, B):
         expected = _direct_periodogram(table, k, B)
         for got in (windows.periodogram(k / N), periodogram_values(panel, k / N, B)):
             assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("stride", [4, 1])
+def test_grid_walk_ragged_products_are_short(stride, monkeypatch):
+    # the desk shape (beta = 64): beyond the block Grams a window makes at
+    # most two products, one for the added and one for the subtracted
+    # columns, and neither covers more than floor(beta/2) columns of either
+    # ragged end, since an end covering more than half its block is taken
+    # as the block's Gram minus the uncovered columns
+    from coherlss import spectral
+
+    N, B, M = 2048, 256, 8
+    beta = (B + 1) // 4
+    panel = simulate_panel(ModelSpec.ar1(0.4), M, N, seed=4)
+    table = dft_grid(panel)
+    column = {table[:, j].tobytes(): j for j in range(N)}
+    products = []
+    gram = spectral._gram
+
+    def recording(w):
+        products.append(sorted(column[w[:, i].tobytes()] for i in range(w.shape[1])))
+        return gram(w)
+
+    monkeypatch.setattr(spectral, "_gram", recording)
+    windows = spectral._Windows(panel, B, table)
+    for k in range(0, N, stride):
+        products.clear()
+        windows.periodogram(k / N)
+        ragged = [cols for cols in products
+                  if cols != list(range(cols[0] - cols[0] % beta, min(N, cols[0] + beta)))]
+        assert len(ragged) <= 2
+        for cols in ragged:
+            # no ragged end crosses a block cut, so each run of consecutive
+            # columns is one end
+            runs = np.split(np.array(cols), np.flatnonzero(np.diff(cols) != 1) + 1)
+            assert max(len(run) for run in runs) <= beta // 2, (k, [len(r) for r in runs])
 
 
 def test_smoothed_periodogram_mean_tracks_density():
