@@ -43,6 +43,8 @@ CORRECTION_MODES = ("none", "oracle", "plugin")
 # fraction of the best row are floored instead of dividing by ~0
 _S_FLOOR_FRACTION = 1e-6
 _LOG_EIG_FLOOR = 1e-12
+# diag(S) range in which the squared moduli of S neither underflow nor overflow
+_DIAG_RANGE = (2.0 ** -400, 2.0 ** 400)
 _DEFAULT_GRID_SIZE = 512
 
 
@@ -297,16 +299,31 @@ def assemble_psi(lss_raw, r_term, phi: float, vn: float, active: bool):
     return lss_raw - r_term * phi * vn * (1.0 if active else 0.0)
 
 
-def _raw_at(c: np.ndarray, f: SpectralFunction, mp_val: float) -> float:
-    """lss_raw from a coherency matrix; overwrites c."""
-    m = c.shape[0]
+def _raw_at(s: np.ndarray, f: SpectralFunction, mp_val: float) -> float:
+    """lss_raw from a smoothed periodogram S; overwrites s.
+
+    For square_centered no coherency matrix is formed: C - I has the
+    entries S_ij / sqrt(S_ii S_jj) off the diagonal and 0 on it, so
+    (1/M) tr (C - I)^2 = (1/M) sum_{i != j} |S_ij|^2 / (S_ii S_jj), which is
+    u^T X u / M with u = 1/diag(S) and X the squared moduli of S with a zero
+    diagonal. Other f take the eigenvalues of C.
+    """
+    m = s.shape[0]
     if f.kind == "square_centered":
-        # a unit diagonal gives (1/M) tr (C - I)^2 = (1/M) sum_{i != j} |C_ij|^2
-        np.fill_diagonal(c, 0.0)
-        x = c.view(np.float64)
-        value = float(np.sum(x * x)) / m
+        diag = spectral._positive_diagonal(s)
+        if diag.min() < _DIAG_RANGE[0] or diag.max() > _DIAG_RANGE[1]:
+            # |S_ij|^2 would underflow or overflow; rows and columns scaled
+            # by exact powers of two bring diag(S) into [1/2, 2) and leave
+            # every ratio |S_ij|^2 / (S_ii S_jj) as it was (diag is a view)
+            p = np.ldexp(1.0, -(np.frexp(diag)[1] // 2))
+            s *= np.outer(p, p)
+        u = 1.0 / diag
+        np.fill_diagonal(s, 0.0)
+        x = s.view(np.float64)
+        x *= x
+        value = float(u @ (x @ np.repeat(u, 2))) / m
     else:
-        value = _mean_f(np.linalg.eigvalsh(c), f)
+        value = _mean_f(np.linalg.eigvalsh(spectral._normalize(s)), f)
     raw = value - mp_val
     if not math.isfinite(raw):
         raise NumericalFailureError(f"non-finite {f.label} statistic {raw!r}")
@@ -321,7 +338,7 @@ def _raw_grid(panel: TimeSeriesPanel, cfg: LssConfig, nus: np.ndarray) -> np.nda
     """
     mp_val = mp_integral_value(cfg.c_N, cfg.f)
     windows = spectral._Windows(panel, cfg.B)
-    return np.array([_raw_at(windows.coherency(nu), cfg.f, mp_val) for nu in nus.tolist()])
+    return np.array([_raw_at(windows.periodogram(nu), cfg.f, mp_val) for nu in nus.tolist()])
 
 
 def sup_abs(nu: np.ndarray, values) -> tuple[float, float]:

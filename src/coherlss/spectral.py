@@ -77,8 +77,13 @@ def _check_span(B: int, n: int) -> int:
     return int(B)
 
 
-def _gram(w: np.ndarray) -> np.ndarray:
-    return w @ w.conj().T
+def _gram(w: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
+    """W W^H, or W diag(coef) W^H for real column weights coef."""
+    if coef is None:
+        return w @ w.conj().T
+    v = w.conj()
+    v *= coef
+    return w @ v.T
 
 
 class _Windows:
@@ -90,13 +95,15 @@ class _Windows:
     (a whole block, or a long ragged end) enters through the block's Gram;
     for a long ragged end the block's uncovered columns are subtracted
     again. The columns of the shorter ragged ends are added directly. So
-    S = A A^H + G - D D^H, in that order: A gathers the added columns and D
-    the subtracted ones, at most floor(beta/2) of each per end, in window
-    order, and G is the window-order sum of the block Grams. The cut, and
-    with it every bit of S, depends on (k, B, N) alone: a frequency gets
-    the same S on any grid, in any order and on its own. Against one direct
-    product W W^H, S differs at the ulp level (a relative error of at most
-    7e-16 in the Frobenius norm on the configs of the block-sum test).
+    S = W_r diag(c) W_r^H + G in one signed product: W_r gathers the added
+    columns, then the subtracted ones, at most floor(beta/2) of each per
+    end, in window order; c is +1/(B+1) on the added and -1/(B+1) on the
+    subtracted columns; and G is the window-order sum of the block Grams,
+    scaled by 1/(B+1) once when it is summed. The cut, and with it every bit
+    of S, depends on (k, B, N) alone: a frequency gets the same S on any
+    grid, in any order and on its own. Against one direct product
+    W W^H / (B+1), S differs at the ulp level (a relative error of at most
+    6.4e-16 in the Frobenius norm on the configs of the block-sum test).
 
     A block's Gram is kept while the next window still needs it: after each
     window only that window's Grams are held, at most ceil((B+1)/beta) + 1
@@ -115,17 +122,11 @@ class _Windows:
         self.grams: dict[int, np.ndarray] = {}
         self.block_sum: tuple[tuple, np.ndarray | None] = ((), None)
 
-    def _gram_of_spans(self, spans: list) -> np.ndarray | None:
-        """A A^H of the columns in the spans [a, b), or None when there are none."""
-        if not spans:
-            return None
-        cols = [self.table[:, a:b] for a, b in spans]
-        return _gram(cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1))
-
     def _on_grid(self, k: int) -> np.ndarray:
         if self.table is None:
             self.table = dft_grid(self.panel)
         n, width = self.panel.N, self.width
+        scale = 1.0 / (self.B + 1)
         a = (k - self.B // 2) % n
         left = self.B + 1
         starts, added, subtracted = [], [], []
@@ -149,16 +150,16 @@ class _Windows:
             total = held[key[0]].copy()  # a held Gram must not be summed into
             for lo in key[1:]:
                 total += held[lo]
+            total *= scale
             self.grams, self.block_sum = held, (key, total)
         total = self.block_sum[1]
-        s = self._gram_of_spans(added)
-        if s is None:
-            s = total.copy()
-        else:
-            s += total
-        d = self._gram_of_spans(subtracted)
-        if d is not None:
-            s -= d
+        spans = added + subtracted
+        if not spans:
+            return total.copy()
+        coef = np.full(sum(d - c for c, d in spans), scale)
+        coef[sum(d - c for c, d in added):] = -scale
+        s = _gram(np.concatenate([self.table[:, c:d] for c, d in spans], axis=1), coef)
+        s += total
         return s
 
     def periodogram(self, nu: float) -> np.ndarray:
@@ -171,9 +172,10 @@ class _Windows:
             freqs = nu + np.arange(-(self.B // 2), self.B // 2 + 1) / n
             phases = np.exp(-2j * np.pi * np.outer(np.arange(n), freqs)) / np.sqrt(n)
             s = _gram(self.panel.data @ phases)
-        # the same bits as dividing by B+1 (numpy divides a complex array by a
-        # real scalar through its reciprocal), without the complex division
-        s *= 1.0 / (self.B + 1)
+            # the same bits as dividing by B+1 (numpy divides a complex array
+            # by a real scalar through its reciprocal), without the complex
+            # division
+            s *= 1.0 / (self.B + 1)
         # a NaN or inf anywhere in W reaches its row's diagonal entry, and a
         # finite diagonal bounds every entry (|S_ij|^2 <= S_ii S_jj)
         if not np.all(np.isfinite(s.diagonal())):
@@ -202,8 +204,8 @@ def periodogram_values(
     return _Windows(panel, B, grid).periodogram(float(nu))
 
 
-def _normalize(s: np.ndarray) -> np.ndarray:
-    """diag(S)^{-1/2} S diag(S)^{-1/2} in place, with an exactly unit diagonal."""
+def _positive_diagonal(s: np.ndarray) -> np.ndarray:
+    """The real diagonal of S, a view; a nonpositive entry raises."""
     diag = s.diagonal().real
     if np.any(diag <= 0.0):
         worst = float(diag.min())
@@ -211,7 +213,12 @@ def _normalize(s: np.ndarray) -> np.ndarray:
             f"nonpositive spectral diagonal entry {worst:.3e}; "
             "the smoothing span B+1 is too small or the input is degenerate"
         )
-    inv_root = 1.0 / np.sqrt(diag)
+    return diag
+
+
+def _normalize(s: np.ndarray) -> np.ndarray:
+    """diag(S)^{-1/2} S diag(S)^{-1/2} in place, with an exactly unit diagonal."""
+    inv_root = 1.0 / np.sqrt(_positive_diagonal(s))
     s *= np.outer(inv_root, inv_root)
     np.fill_diagonal(s, 1.0)
     return s

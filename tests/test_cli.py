@@ -33,6 +33,14 @@ def test_module_entry_point():
     assert out.stdout.startswith("coherlss ")
 
 
+def test_package_runs_as_module():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(coherlss.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "coherlss", "--version"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0
+    assert out.stdout.startswith("coherlss ")
+
+
 def test_no_subcommand_is_config_error(capsys):
     assert run([]) == EXIT_CONFIG
     assert "usage" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from coherlss import (
     ConfigError,
     DegenerateEstimateError,
+    DegenerateSpectrumError,
     DomainError,
     InvalidArgumentError,
     LssConfig,
@@ -31,7 +32,7 @@ from coherlss import (
     u_n,
     v_n,
 )
-from coherlss.lss import r_hat_grid
+from coherlss.lss import phi_value, r_hat_grid
 
 
 # --- public API ----------------------------------------------------------------
@@ -449,7 +450,7 @@ def test_mixed_grid_matches_psi_at_exactly(mode):
 
 def test_public_matrices_carry_the_kernel_bits():
     # the validated public matrices wrap the grid kernel's arrays, so the
-    # statistic of a public matrix is the panel record's lss_raw
+    # statistic of the public periodogram is the panel record's lss_raw
     from coherlss.lss import _raw_at, mp_integral_value
     from coherlss import spectral
 
@@ -460,7 +461,8 @@ def test_public_matrices_carry_the_kernel_bits():
         for nu in (0.25, 0.1234567):
             C = coherency_matrix(smoothed_periodogram(panel, nu, B=96))
             assert np.array_equal(C.values, spectral._Windows(panel, 96).coherency(nu))
-            raw = _raw_at(np.array(C.values), cfg.f, mp_integral_value(cfg.c_N, cfg.f))
+            S = np.array(smoothed_periodogram(panel, nu, B=96).values)
+            raw = _raw_at(S, cfg.f, mp_integral_value(cfg.c_N, cfg.f))
             assert raw == psi_at(panel, cfg, nu).lss_raw
     # psi_at evaluates a panel; a matrix is not a source
     with pytest.raises(InvalidArgumentError):
@@ -496,8 +498,8 @@ def test_block_walk_is_grid_independent_and_bounded(f, monkeypatch):
             assert raw == by_nu[nu]
     for nu in (0.0, 12 / N, 0.5, 1 - 1 / N):
         assert psi_at(panel, full, nu).lss_raw == by_nu[nu]
-        C = coherency_matrix(smoothed_periodogram(panel, nu, B=B))
-        assert _raw_at(np.array(C.values), full.f, mp_integral_value(full.c_N, full.f)) == by_nu[nu]
+        S = np.array(smoothed_periodogram(panel, nu, B=B).values)
+        assert _raw_at(S, full.f, mp_integral_value(full.c_N, full.f)) == by_nu[nu]
     assert held and max(held) <= math.ceil((B + 1) / beta) + 1
 
 
@@ -550,6 +552,64 @@ def test_non_finite_statistic_fails_loudly():
         psi_at(_twin_row_panel(), cfg, 0.25)
 
 
+@pytest.mark.parametrize("f", ["square_centered", "log"])
+@pytest.mark.parametrize("scale", [1e100, 1e-100, 1e150, 1e-150])
+def test_statistic_survives_extreme_panel_scales(f, scale):
+    # the squared moduli of S underflow for a panel scaled by 1e-100 and
+    # overflow for one scaled by 1e100, while the statistic is scale-free.
+    # The error is relative to (1/M) tr f(C) = lss_raw + mp: lss_raw itself
+    # can be 1e-4, where a rounding of 2.5e-16 in the trace is 2e-12 of it
+    from coherlss.lss import mp_integral_value, sweep_panel
+
+    N, B, M = 256, 32, 12
+    panel = simulate_panel(ModelSpec.ar1(0.4), M, N, seed=8)
+    scaled = TimeSeriesPanel(panel.data * scale, panel.model, panel.seed)
+    cfg = LssConfig(N=N, B=B, M=M, f=f, correction_mode="none", grid=default_grid(N, 8))
+    mp = mp_integral_value(cfg.c_N, cfg.f)
+
+    def close(got, expected):
+        return np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected + mp))
+
+    assert close(sweep_panel(scaled, cfg).lss_raw, sweep_panel(panel, cfg).lss_raw)
+    for nu in (0.0, 0.3, 0.1234567):
+        assert close(psi_at(scaled, cfg, nu).lss_raw, psi_at(panel, cfg, nu).lss_raw)
+
+
+@pytest.mark.parametrize("N, B, M", [(65, 64, 20), (256, 32, 12), (257, 96, 48)])
+def test_periodogram_statistic_matches_coherency_routes(N, B, M):
+    # square_centered is taken from S as (1/M) sum_{i != j} |S_ij|^2 / (S_ii S_jj);
+    # it matches the Frobenius sum of C - I and (1/M) sum (lambda - 1)^2 over
+    # the eigenvalues of C, with B+1 = N, with windows that wrap past 0 and
+    # N-1, and off the grid
+    from coherlss.lss import _raw_at, mp_integral_value
+
+    panel = simulate_panel(ModelSpec.ar1(0.4), M, N, seed=N + M)
+    cfg = LssConfig(N=N, B=B, M=M, correction_mode="none")
+    for nu in (0.0, 1 / N, (N - 1) / N, 0.5, 0.3141):
+        S = smoothed_periodogram(panel, nu, B=B)
+        C = np.array(coherency_matrix(S).values)
+        value = _raw_at(np.array(S.values), cfg.f, 0.0)
+        frobenius = float(np.sum(np.abs(C - np.eye(M)) ** 2)) / M
+        assert abs(value - frobenius) <= 1e-13 * frobenius
+        eigs = np.linalg.eigvalsh(C)
+        assert abs(value - float(np.mean((eigs - 1.0) ** 2))) <= 1e-13 * value
+        assert psi_at(panel, cfg, nu).lss_raw == value - mp_integral_value(cfg.c_N, cfg.f)
+
+
+def test_zero_row_is_a_degenerate_spectrum():
+    from coherlss.lss import sweep_panel
+
+    data = np.array(simulate_panel(ModelSpec.ar1(0.4), 6, 64, seed=3).data)
+    data[2] = 0.0
+    panel = TimeSeriesPanel(data, ModelSpec.ar1(0.4), 3)
+    cfg = LssConfig(N=64, B=16, M=6, correction_mode="none")
+    for nu in (0.25, 0.2501):
+        with pytest.raises(DegenerateSpectrumError):
+            psi_at(panel, cfg, nu)
+    with pytest.raises(DegenerateSpectrumError):
+        sweep_panel(panel, cfg)
+
+
 # --- properties ----------------------------------------------------------------
 
 _PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -594,6 +654,15 @@ def test_statistic_row_permutation_and_scale_invariance(window, f, seed):
     perm = rng.permutation(panel.M)
     scales = np.exp(rng.uniform(-3.0, 3.0, panel.M))
     moved = TimeSeriesPanel(panel.data[perm] * scales[:, None], panel.model, panel.seed)
+    try:
+        phi_value(cfg.c_N, cfg.f)
+    except NumericalFailureError:
+        # log's action is not resolved near c = 1 (from c = 0.85 on, see
+        # test_log_action_fails_loudly_at_c_0_9): every panel fails loudly
+        for p in (moved, panel):
+            with pytest.raises(NumericalFailureError):
+                psi_at(p, cfg, nu)
+        return
     assert psi_at(moved, cfg, nu).lss_raw == pytest.approx(psi_at(panel, cfg, nu).lss_raw,
                                                            abs=1e-10)
 
