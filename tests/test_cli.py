@@ -27,18 +27,11 @@ def test_console_script_installed():
 
 def test_module_entry_point():
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(coherlss.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-m", "coherlss.cli", "--version"],
-                         capture_output=True, text=True, env=env)
-    assert out.returncode == 0
-    assert out.stdout.startswith("coherlss ")
-
-
-def test_package_runs_as_module():
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(coherlss.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-m", "coherlss", "--version"],
-                         capture_output=True, text=True, env=env)
-    assert out.returncode == 0
-    assert out.stdout.startswith("coherlss ")
+    for module in ("coherlss.cli", "coherlss"):
+        out = subprocess.run([sys.executable, "-m", module, "--version"],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 0
+        assert out.stdout.startswith("coherlss ")
 
 
 def test_no_subcommand_is_config_error(capsys):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coherlss import (
@@ -32,7 +32,7 @@ from coherlss import (
     u_n,
     v_n,
 )
-from coherlss.lss import phi_value, r_hat_grid
+from coherlss.lss import _raw_grid, r_hat_grid
 
 
 # --- public API ----------------------------------------------------------------
@@ -575,27 +575,6 @@ def test_statistic_survives_extreme_panel_scales(f, scale):
         assert close(psi_at(scaled, cfg, nu).lss_raw, psi_at(panel, cfg, nu).lss_raw)
 
 
-@pytest.mark.parametrize("N, B, M", [(65, 64, 20), (256, 32, 12), (257, 96, 48)])
-def test_periodogram_statistic_matches_coherency_routes(N, B, M):
-    # square_centered is taken from S as (1/M) sum_{i != j} |S_ij|^2 / (S_ii S_jj);
-    # it matches the Frobenius sum of C - I and (1/M) sum (lambda - 1)^2 over
-    # the eigenvalues of C, with B+1 = N, with windows that wrap past 0 and
-    # N-1, and off the grid
-    from coherlss.lss import _raw_at, mp_integral_value
-
-    panel = simulate_panel(ModelSpec.ar1(0.4), M, N, seed=N + M)
-    cfg = LssConfig(N=N, B=B, M=M, correction_mode="none")
-    for nu in (0.0, 1 / N, (N - 1) / N, 0.5, 0.3141):
-        S = smoothed_periodogram(panel, nu, B=B)
-        C = np.array(coherency_matrix(S).values)
-        value = _raw_at(np.array(S.values), cfg.f, 0.0)
-        frobenius = float(np.sum(np.abs(C - np.eye(M)) ** 2)) / M
-        assert abs(value - frobenius) <= 1e-13 * frobenius
-        eigs = np.linalg.eigvalsh(C)
-        assert abs(value - float(np.mean((eigs - 1.0) ** 2))) <= 1e-13 * value
-        assert psi_at(panel, cfg, nu).lss_raw == value - mp_integral_value(cfg.c_N, cfg.f)
-
-
 def test_zero_row_is_a_degenerate_spectrum():
     from coherlss.lss import sweep_panel
 
@@ -633,16 +612,34 @@ def _config(panel, B, f):
     return LssConfig(N=panel.N, B=B, M=panel.M, alpha=0.75, f=f, correction_mode="none")
 
 
+def _window(M, N, B, nu):
+    return simulate_panel(ModelSpec.ar1(0.4), M, N, seed=N + M), B, nu
+
+
 @_PROPERTY_SETTINGS
 @given(_windows())
+@example(_window(20, 65, 64, 1 / 65))    # B+1 = N
+@example(_window(12, 256, 32, 0.0))      # windows wrapping past 0
+@example(_window(12, 256, 32, 255 / 256))  # and past N-1
+@example(_window(48, 257, 96, 0.3141))
 def test_frobenius_statistic_matches_eigenvalues(window):
-    from coherlss.lss import mp_integral_value
+    # square_centered is taken from S as (1/M) sum_{i != j} |S_ij|^2 / (S_ii S_jj),
+    # which is the Frobenius sum of C - I and (1/M) sum (lambda - 1)^2 over
+    # the eigenvalues of C
+    from coherlss.lss import _raw_at, mp_integral_value
 
     panel, B, nu = window
     cfg = _config(panel, B, "square_centered")
-    eigs = hermitian_eigenvalues(coherency_matrix(smoothed_periodogram(panel, nu, B=B)))
-    expected = float(np.mean((eigs - 1.0) ** 2)) - mp_integral_value(cfg.c_N, cfg.f)
-    assert abs(psi_at(panel, cfg, nu).lss_raw - expected) <= 1e-13
+    S = smoothed_periodogram(panel, nu, B=B)
+    C = coherency_matrix(S)
+    value = _raw_at(np.array(S.values), cfg.f, 0.0)
+    frobenius = float(np.sum(np.abs(C.values - np.eye(panel.M)) ** 2)) / panel.M
+    assert abs(value - frobenius) <= 1e-13 * frobenius
+    mp = mp_integral_value(cfg.c_N, cfg.f)
+    raw = psi_at(panel, cfg, nu).lss_raw
+    assert raw == value - mp
+    eigs = hermitian_eigenvalues(C)
+    assert abs(raw - (float(np.mean((eigs - 1.0) ** 2)) - mp)) <= 1e-13
 
 
 @_PROPERTY_SETTINGS
@@ -654,17 +651,11 @@ def test_statistic_row_permutation_and_scale_invariance(window, f, seed):
     perm = rng.permutation(panel.M)
     scales = np.exp(rng.uniform(-3.0, 3.0, panel.M))
     moved = TimeSeriesPanel(panel.data[perm] * scales[:, None], panel.model, panel.seed)
-    try:
-        phi_value(cfg.c_N, cfg.f)
-    except NumericalFailureError:
-        # log's action is not resolved near c = 1 (from c = 0.85 on, see
-        # test_log_action_fails_loudly_at_c_0_9): every panel fails loudly
-        for p in (moved, panel):
-            with pytest.raises(NumericalFailureError):
-                psi_at(p, cfg, nu)
-        return
-    assert psi_at(moved, cfg, nu).lss_raw == pytest.approx(psi_at(panel, cfg, nu).lss_raw,
-                                                           abs=1e-10)
+    # lss_raw as psi_at computes it, without phi, which log does not resolve
+    # near c = 1 (see test_log_action_fails_loudly_at_c_0_9)
+    nus = np.array([nu])
+    assert _raw_grid(moved, cfg, nus)[0] == pytest.approx(_raw_grid(panel, cfg, nus)[0],
+                                                          abs=1e-10)
 
 
 @_PROPERTY_SETTINGS
