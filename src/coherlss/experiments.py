@@ -22,7 +22,6 @@ import json
 import math
 import numbers
 import pathlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -62,6 +61,9 @@ def _parallel_map(fn, items, threads: int) -> list:
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    # imported here: concurrent.futures costs every fresh interpreter a few ms
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -175,7 +177,6 @@ class SweepResult:
 
 def frequency_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Raw statistic and both corrections on the grid, per seed and averaged."""
-    lcfg = cfg.lss_config()
     reps = _replicates(cfg)
     vn, phi = reps[0].v_n, reps[0].phi
     records = tuple(
@@ -189,18 +190,20 @@ def frequency_sweep(cfg: ExperimentConfig) -> SweepResult:
         for seed, sw in zip(cfg.replicate_seeds(), reps)
     )
 
-    n_grid = len(lcfg.grid)
-    stack = np.array([[row[:8] for row in rec.rows] for rec in records], dtype=float)
-    mean = _mean_skipping_nan(stack)  # (n_grid, 8): means of nu..psi_hat columns
-    mean_rows = tuple(
-        (float(mean[j, 0]), float(mean[j, 1]), vn, float(mean[j, 3]), float(mean[j, 4]),
-         phi, float(mean[j, 6]), float(mean[j, 7]), -1)
-        for j in range(n_grid)
-    )
+    # the nu..psi_hat columns of the rows as a (replicates, grid, 8) stack;
+    # each mean sums its replicates in seed order
+    stack = np.empty((len(reps), reps[0].nu.size, 8))
+    for block, sw in zip(stack, reps):
+        for j, column in enumerate((sw.nu, sw.lss_raw, vn, sw.r_oracle, sw.r_plugin, phi,
+                                    sw.psi, sw.psi_hat)):
+            block[:, j] = column
+    mean = _mean_skipping_nan(stack)
+    mean_rows = tuple((nu, raw, vn, r_or, r_pl, phi, psi, psi_hat, -1)
+                      for nu, raw, _, r_or, r_pl, _, psi, psi_hat in mean.tolist())
 
     sup_raw, sup_psi, sup_psi_hat = zip(*(_sups(sw) for sw in reps))
-    improved_mean = [abs(mean[j, 6]) < abs(mean[j, 1]) for j in range(n_grid)]
-    improved_pooled = [abs(row[6]) < abs(row[1]) for rec in records for row in rec.rows]
+    improved_mean = np.abs(mean[:, 6]) < np.abs(mean[:, 1])
+    improved_pooled = np.abs(stack[..., 6]) < np.abs(stack[..., 1])
     fraction = float(np.mean(improved_mean))
     median_sup_psi = float(np.median(sup_psi))
     median_sup_psi_hat = float(np.median(sup_psi_hat))
@@ -383,12 +386,13 @@ def _certified_inside(c: np.ndarray, lo: float, hi: float) -> bool:
     C is a coherency matrix, whose diagonal is exactly 1.
     """
     shifted = np.negative(c)
-    np.fill_diagonal(shifted, hi - 1.0)
+    diagonal = spectral._diagonal(shifted)
+    diagonal[...] = hi - 1.0
     try:
         np.linalg.cholesky(shifted)
         if lo > 0.0:
             np.copyto(shifted, c)
-            np.fill_diagonal(shifted, 1.0 - lo)
+            diagonal[...] = 1.0 - lo
             np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
@@ -456,6 +460,11 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
+# _format_cell of a cell whose type is exactly float or int; bool, a
+# subclass of int, is looked up by its own type and so never lands here
+_CELL_FORMATS = {float: float.__repr__, int: int.__repr__}
+
+
 def _metadata_lines(config: dict) -> list[str]:
     return [f"# coherlss {__version__}",
             "# config " + json.dumps(config, sort_keys=True)]
@@ -466,8 +475,8 @@ def write_table_csv(path, header, rows, config: dict, extra_comments=()) -> None
     lines = _metadata_lines(config)
     lines.extend(extra_comments)
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+    cell_format = _CELL_FORMATS.get
+    lines.extend(",".join([cell_format(type(v), _format_cell)(v) for v in row]) for row in rows)
     pathlib.Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

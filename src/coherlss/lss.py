@@ -306,22 +306,27 @@ def _raw_at(s: np.ndarray, f: SpectralFunction, mp_val: float) -> float:
     entries S_ij / sqrt(S_ii S_jj) off the diagonal and 0 on it, so
     (1/M) tr (C - I)^2 = (1/M) sum_{i != j} |S_ij|^2 / (S_ii S_jj), which is
     u^T X u / M with u = 1/diag(S) and X the squared moduli of S with a zero
-    diagonal. Other f take the eigenvalues of C.
+    diagonal. One min and one max of diag(S) serve both its positivity
+    check and its range check. Other f take the eigenvalues of C.
     """
     m = s.shape[0]
     if f.kind == "square_centered":
-        diag = spectral._positive_diagonal(s)
-        if diag.min() < _DIAG_RANGE[0] or diag.max() > _DIAG_RANGE[1]:
+        diagonal = spectral._diagonal(s)
+        diag = diagonal.real
+        low, high = float(diag.min()), float(diag.max())
+        if low <= 0.0:
+            spectral._positive_diagonal(s)  # raises DegenerateSpectrumError
+        if low < _DIAG_RANGE[0] or high > _DIAG_RANGE[1]:
             # |S_ij|^2 would underflow or overflow; rows and columns scaled
             # by exact powers of two bring diag(S) into [1/2, 2) and leave
             # every ratio |S_ij|^2 / (S_ii S_jj) as it was (diag is a view)
             p = np.ldexp(1.0, -(np.frexp(diag)[1] // 2))
             s *= np.outer(p, p)
         u = 1.0 / diag
-        np.fill_diagonal(s, 0.0)
+        diagonal[...] = 0.0
         x = s.view(np.float64)
         x *= x
-        value = float(u @ (x @ np.repeat(u, 2))) / m
+        value = float(u @ (x @ u.repeat(2))) / m
     else:
         value = _mean_f(np.linalg.eigvalsh(spectral._normalize(s)), f)
     raw = value - mp_val

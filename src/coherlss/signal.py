@@ -149,9 +149,10 @@ def autocovariance(model: ModelSpec, u: int) -> float:
 
 def _complex_normal(rng: np.random.Generator, n: int, variance: float) -> np.ndarray:
     """n draws of N_C(0, variance): independent re/im parts, each N(0, variance/2)."""
-    g = rng.standard_normal(2 * n)
-    scale = math.sqrt(variance / 2.0)
-    return scale * (g[0::2] + 1j * g[1::2])
+    # consecutive normal pairs are the (re, im) of one draw
+    z = rng.standard_normal(2 * n).view(np.complex128)
+    z *= math.sqrt(variance / 2.0)
+    return z
 
 
 def _row_rng(seed: int, row: int) -> np.random.Generator:

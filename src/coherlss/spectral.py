@@ -9,6 +9,7 @@ coherency matrix renormalizes it to a unit diagonal.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -64,8 +65,9 @@ class SpectralMatrix:
 
 def dft_grid(panel: TimeSeriesPanel) -> np.ndarray:
     """M x N table of xi at the Fourier frequencies k/N, via the FFT."""
-    n = panel.N
-    return np.fft.fft(panel.data, axis=1) / np.sqrt(n)
+    table = np.fft.fft(panel.data, axis=1)
+    table /= np.sqrt(panel.N)
+    return table
 
 
 def _check_span(B: int, n: int) -> int:
@@ -86,6 +88,40 @@ def _gram(w: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
     return w @ v.T
 
 
+def _block_width(B: int) -> int:
+    """The block width beta of the grid walk at span B."""
+    return max(1, (B + 1) // 4)
+
+
+@functools.lru_cache(maxsize=1024)
+def _window_cut(k: int, B: int, n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The cut of the on-grid window at column k (0 <= k < n): the starts of
+    its block Grams, the table columns of its signed product and their
+    weights, both read-only. It depends on (k, B, n) alone, so one cache
+    serves every panel of a configuration."""
+    width = _block_width(B)
+    scale = 1.0 / (B + 1)
+    a = (k - B // 2) % n
+    left = B + 1
+    starts, added, subtracted = [], [], []
+    while left:
+        lo = a - a % width
+        hi = min(n, lo + width)
+        b = min(hi, a + left)
+        if 2 * (b - a) > hi - lo:
+            starts.append(lo)
+            subtracted += [(c, d) for c, d in ((lo, a), (b, hi)) if c < d]
+        else:
+            added.append((a, b))
+        left -= b - a
+        a = b % n
+    columns = np.array([j for c, d in added + subtracted for j in range(c, d)], dtype=np.intp)
+    coef = np.full(columns.size, scale)
+    coef[sum(d - c for c, d in added):] = -scale
+    columns.flags.writeable = coef.flags.writeable = False
+    return tuple(starts), columns, coef
+
+
 class _Windows:
     """Smoothed periodograms S = W W^H / (B+1) of one panel at span B.
 
@@ -101,7 +137,8 @@ class _Windows:
     subtracted columns; and G is the window-order sum of the block Grams,
     scaled by 1/(B+1) once when it is summed. The cut, and with it every bit
     of S, depends on (k, B, N) alone: a frequency gets the same S on any
-    grid, in any order and on its own. Against one direct product
+    grid, in any order and on its own, and _window_cut computes it once for
+    all the panels of a configuration. Against one direct product
     W W^H / (B+1), S differs at the ulp level (a relative error of at most
     6.4e-16 in the Frobenius norm on the configs of the block-sum test).
 
@@ -117,7 +154,7 @@ class _Windows:
     def __init__(self, panel: TimeSeriesPanel, B: int, table: np.ndarray | None = None):
         self.panel = panel
         self.B = _check_span(B, panel.N)
-        self.width = max(1, (self.B + 1) // 4)
+        self.width = _block_width(self.B)
         self.table = table
         self.grams: dict[int, np.ndarray] = {}
         self.block_sum: tuple[tuple, np.ndarray | None] = ((), None)
@@ -126,22 +163,7 @@ class _Windows:
         if self.table is None:
             self.table = dft_grid(self.panel)
         n, width = self.panel.N, self.width
-        scale = 1.0 / (self.B + 1)
-        a = (k - self.B // 2) % n
-        left = self.B + 1
-        starts, added, subtracted = [], [], []
-        while left:
-            lo = a - a % width
-            hi = min(n, lo + width)
-            b = min(hi, a + left)
-            if 2 * (b - a) > hi - lo:
-                starts.append(lo)
-                subtracted += [(c, d) for c, d in ((lo, a), (b, hi)) if c < d]
-            else:
-                added.append((a, b))
-            left -= b - a
-            a = b % n
-        key = tuple(starts)
+        key, columns, coef = _window_cut(k % n, self.B, n)
         if key != self.block_sum[0]:
             held = {}
             for lo in key:
@@ -150,15 +172,12 @@ class _Windows:
             total = held[key[0]].copy()  # a held Gram must not be summed into
             for lo in key[1:]:
                 total += held[lo]
-            total *= scale
+            total *= 1.0 / (self.B + 1)
             self.grams, self.block_sum = held, (key, total)
         total = self.block_sum[1]
-        spans = added + subtracted
-        if not spans:
+        if not columns.size:
             return total.copy()
-        coef = np.full(sum(d - c for c, d in spans), scale)
-        coef[sum(d - c for c, d in added):] = -scale
-        s = _gram(np.concatenate([self.table[:, c:d] for c, d in spans], axis=1), coef)
+        s = _gram(self.table.take(columns, axis=1), coef)
         s += total
         return s
 
@@ -178,7 +197,7 @@ class _Windows:
             s *= 1.0 / (self.B + 1)
         # a NaN or inf anywhere in W reaches its row's diagonal entry, and a
         # finite diagonal bounds every entry (|S_ij|^2 <= S_ii S_jj)
-        if not np.all(np.isfinite(s.diagonal())):
+        if not np.isfinite(s.diagonal()).all():
             raise NumericalFailureError(
                 f"non-finite smoothed periodogram at nu={nu}; the panel data holds NaN or inf"
             )
@@ -204,6 +223,13 @@ def periodogram_values(
     return _Windows(panel, B, grid).periodogram(float(nu))
 
 
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """The diagonal of a square array as a writeable view; assigning
+    through it is several times faster than np.fill_diagonal, which walks a
+    flat iterator over the whole array."""
+    return np.einsum("ii->i", a)
+
+
 def _positive_diagonal(s: np.ndarray) -> np.ndarray:
     """The real diagonal of S, a view; a nonpositive entry raises."""
     diag = s.diagonal().real
@@ -220,7 +246,7 @@ def _normalize(s: np.ndarray) -> np.ndarray:
     """diag(S)^{-1/2} S diag(S)^{-1/2} in place, with an exactly unit diagonal."""
     inv_root = 1.0 / np.sqrt(_positive_diagonal(s))
     s *= np.outer(inv_root, inv_root)
-    np.fill_diagonal(s, 1.0)
+    _diagonal(s)[...] = 1.0
     return s
 
 
@@ -248,8 +274,9 @@ def lag_covariances(data: np.ndarray, L: int) -> np.ndarray:
     if not 0 <= L < n:
         raise InvalidArgumentError(f"0 <= L < N required, got L={L}, N={n}")
     out = np.empty((m, L + 1), dtype=np.complex128)
+    conj = data.conj()
     for l in range(L + 1):
-        out[:, l] = np.einsum("ij,ij->i", data[:, l:], data[:, : n - l].conj()) / n
+        out[:, l] = np.einsum("ij,ij->i", data[:, l:], conj[:, : n - l]) / n
     return out
 
 

@@ -22,7 +22,10 @@ from coherlss import (
 from coherlss.experiments import (
     HISTOGRAM_HEADER,
     SWEEP_HEADER,
+    _format_cell,
+    _mean_skipping_nan,
     scaling_geometry,
+    write_table_csv,
     write_histogram_outputs,
     write_sweep_outputs,
 )
@@ -154,6 +157,27 @@ def test_study_survives_degenerate_plugin_estimate(mode):
             assert np.isnan(means[j])
     hist = histogram_study(dataclasses.replace(cfg, replicates=2))
     assert all(np.isfinite(row[4]) for row in hist.rows)
+
+
+def test_frequency_sweep_reduce_matches_the_rows():
+    # the means and the improved fractions come from the Sweep arrays; they
+    # carry the bits of the reduction over the rows, with NaN cells (r_plugin
+    # and psi_hat where the plug-in estimate is degenerate) and with more
+    # than 8 replicates
+    cfg = ExperimentConfig(N=256, B=48, M=16, theta=0.9, L=2, grid_stride=4, replicates=9,
+                           seed=3)
+    res = frequency_sweep(cfg)
+    rows = [[row[:8] for row in rec.rows] for rec in res.records]
+    mean = _mean_skipping_nan(np.array(rows, dtype=float))
+    assert np.isnan(mean[:, 7]).any() and not np.isnan(mean[:, 7]).all()
+    vn, phi = rows[0][0][2], rows[0][0][5]
+    expected = tuple((float(m[0]), float(m[1]), vn, float(m[3]), float(m[4]), phi,
+                      float(m[6]), float(m[7]), -1) for m in mean)
+    assert repr(res.mean_rows) == repr(expected)
+    improved_mean = [abs(m[6]) < abs(m[1]) for m in mean]
+    improved_pooled = [abs(row[6]) < abs(row[1]) for rec in res.records for row in rec.rows]
+    assert res.summary["fraction_improved"] == float(np.mean(improved_mean))
+    assert res.summary["fraction_improved_pooled"] == float(np.mean(improved_pooled))
 
 
 def test_frequency_sweep_inactive_bandwidth_exponent():
@@ -389,6 +413,23 @@ def test_sweep_csv_mean_rows_marked(tmp_path):
     n_grid = len(res.mean_rows)
     assert len(data_rows) == n_grid * (len(res.records) + 1)
     assert sum(1 for row in data_rows if row.endswith(",-1")) == n_grid
+
+
+def test_table_cells_are_formatted_as_format_cell(tmp_path):
+    # exactly-float and exactly-int cells take a faster route than the other
+    # types; every cell must read as _format_cell writes it, and bool (an
+    # int subclass) must stay true/false
+    cells = [0.1, -0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e300,
+             -7, 0, 2 ** 63, True, False, None, np.float64(0.1), np.float64(-0.0),
+             np.int64(-3), np.bool_(True), np.bool_(False)]
+    path = tmp_path / "cells.csv"
+    write_table_csv(path, ("a", "b"), [cells, cells[::-1]], {"k": 1})
+    body = path.read_text(encoding="utf-8").splitlines()[-2:]
+    assert body == [",".join(_format_cell(v) for v in row) for row in (cells, cells[::-1])]
+    assert body[0].split(",") == [
+        "0.1", "-0.0", "0.0", "nan", "inf", "-inf", "5e-324", "1e+300",
+        "-7", "0", "9223372036854775808", "true", "false", "", "0.1", "-0.0",
+        "-3", "true", "false"]
 
 
 def test_histogram_outputs(tmp_path):

@@ -416,10 +416,15 @@ def test_non_finite_integrand_fails_loudly():
 
 
 def test_library_does_not_import_scipy(tmp_path):
+    # nor the thread pool's modules: a single-threaded run never starts a
+    # pool, and a fresh interpreter should not pay for importing one
     code = ("import sys, coherlss.cli\n"
             f"assert coherlss.cli.run(['validate', '--quick', '--out-dir', {str(tmp_path)!r}]) == 0\n"
             "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-            "assert not loaded, loaded\n")
+            "assert not loaded, loaded\n"
+            "pool = [m for m in ('concurrent.futures', 'logging', 'queue') if m in sys.modules]\n"
+            "assert not pool, pool\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(coherlss.__file__).parents[1]))
+    env.pop("COHERLSS_THREADS", None)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr

@@ -1,5 +1,6 @@
 """Model specs, exact spectra, and panel simulation."""
 
+import math
 import os
 import pathlib
 import subprocess
@@ -124,6 +125,45 @@ def test_ar1_panel_matches_lfilter_oracle(theta, shape):
             eps = _complex_normal(rng, N, 1.0)
             expected[m], _ = lfilter([1.0], [1.0, -theta], eps, zi=np.array([theta * y0]))
         np.testing.assert_array_equal(simulate_panel(ModelSpec.ar1(theta), M, N, seed).data, expected)
+
+
+def _paired_normals(rng, n, variance):
+    """The draws as first written: even and odd normals paired, then scaled."""
+    g = rng.standard_normal(2 * n)
+    return math.sqrt(variance / 2.0) * (g[0::2] + 1j * g[1::2])
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and all(
+        np.array_equal(np.signbit(part(a)), np.signbit(part(b))) for part in (np.real, np.imag))
+
+
+def test_complex_normal_matches_paired_oracle():
+    # viewing the 2n normals as n complex values and scaling them in place
+    # gives the bits of pairing them and scaling the sum
+    for seed in range(300):
+        for variance in (1.0, 0.5, 1.0 / (1.0 - 0.4 ** 2), 3.7):
+            got = _complex_normal(_row_rng(seed, seed % 5), 33, variance)
+            assert _same_bits(got, _paired_normals(_row_rng(seed, seed % 5), 33, variance))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.4, -0.7])
+def test_panel_matches_paired_oracle(theta):
+    # the panel as built from the paired draws: white rows are the draws,
+    # AR(1) rows filter them from the stationary start
+    M, N = 6, 129
+    for seed in (0, 7, 2 ** 64 - 1):
+        expected = np.empty((M, N), dtype=np.complex128)
+        for m in range(M):
+            rng = _row_rng(seed, m)
+            if theta == 0.0:
+                expected[m] = _paired_normals(rng, N, 1.0)
+                continue
+            y0 = _paired_normals(rng, 1, 1.0 / (1.0 - theta ** 2))[0]
+            eps = _paired_normals(rng, N, 1.0)
+            expected[m], _ = lfilter([1.0], [1.0, -theta], eps, zi=np.array([theta * y0]))
+        model = ModelSpec.white_noise() if theta == 0.0 else ModelSpec.ar1(theta)
+        assert _same_bits(simulate_panel(model, M, N, seed).data, expected)
 
 
 def test_simulation_does_not_import_scipy_signal():

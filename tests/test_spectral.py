@@ -118,8 +118,9 @@ def test_block_sum_matches_direct_window(N, B):
     # (beta = 25, 32 and 64 with B+1 = 4 beta + 1 or + 3), split a block
     # exactly in half (beta = 32 and 64, and the last block [512, 520) of
     # 8 columns), and subtract from the short last block [N//beta * beta, N)
-    # (1063 = 16 * 64 + 39, 257 = 10 * 25 + 7, 520 = 16 * 32 + 8)
-    from coherlss.spectral import _Windows, periodogram_values
+    # (1063 = 16 * 64 + 39, 257 = 10 * 25 + 7, 520 = 16 * 32 + 8). The cut
+    # of a window, cached for every panel, is read-only.
+    from coherlss.spectral import _window_cut, _Windows, periodogram_values
 
     panel = simulate_panel(ModelSpec.ar1(0.4), 5, N, seed=N + B)
     table = dft_grid(panel)
@@ -129,6 +130,8 @@ def test_block_sum_matches_direct_window(N, B):
         expected = _direct_periodogram(table, k, B)
         for got in (windows.periodogram(k / N), periodogram_values(panel, k / N, B)):
             assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+        _, columns, coef = _window_cut(k, B, N)
+        assert not columns.flags.writeable and not coef.flags.writeable
 
 
 @pytest.mark.parametrize("stride", [4, 1])
