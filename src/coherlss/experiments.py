@@ -371,7 +371,7 @@ def _localization_worst(model: ModelSpec, lcfg: LssConfig, lm: float, lp: float,
     margin = 4.0 * (lcfg.M + 1) ** 2 * np.finfo(float).eps
     worst = 0.0
     for nu in lcfg.grid:
-        c = windows.coherency(nu)
+        c = spectral._normalize(windows.periodogram(nu))
         delta = margin * (1.0 + lp + worst)
         if _certified_inside(c, lm - worst + delta, lp + worst - delta):
             continue
@@ -419,9 +419,7 @@ def dft_covariance_check(model: ModelSpec, N_list, nu1: float, nu2: float):
             for N in N_list):
         raise InvalidArgumentError(
             f"N_list must be a nonempty list of positive integers, got {N_list!r}")
-    for nu in (nu1, nu2):
-        if isinstance(nu, bool) or not isinstance(nu, numbers.Real) or not math.isfinite(nu):
-            raise InvalidArgumentError(f"frequencies must be finite reals, got {nu!r}")
+    nu1, nu2 = spectral._check_frequency(nu1), spectral._check_frequency(nu2)
     rows = []
     for N in N_list:
         N = int(N)

@@ -145,11 +145,12 @@ class LssConfig:
         if grid is None:
             grid = default_grid(N)
         else:
-            grid = tuple(float(nu) for nu in grid)
+            try:
+                grid = tuple(spectral._check_frequency(nu) for nu in grid)
+            except (InvalidArgumentError, TypeError) as exc:
+                raise ConfigError(f"grid must be a sequence of frequencies: {exc}") from exc
             if not grid:
                 raise ConfigError("grid must be nonempty")
-            if not all(np.isfinite(grid)):
-                raise ConfigError("grid frequencies must be finite")
         object.__setattr__(self, "grid", grid)
 
     @property
@@ -339,7 +340,8 @@ def _raw_grid(panel: TimeSeriesPanel, cfg: LssConfig, nus: np.ndarray) -> np.nda
     """lss_raw at each frequency, each from its own window alone, so a
     frequency gets the same bits on any grid and from psi_at.
 
-    One FFT table, built at the first on-grid frequency, serves them all.
+    One FFT table, built at the first on-grid frequency, serves the grid;
+    an off-grid frequency walks a frequency-shifted table of its own.
     """
     mp_val = mp_integral_value(cfg.c_N, cfg.f)
     windows = spectral._Windows(panel, cfg.B)
@@ -397,7 +399,7 @@ def psi_at(panel: TimeSeriesPanel, cfg: LssConfig, nu: float) -> LssRecord:
     from the panel's data.
     """
     _check_panel_matches(panel, cfg)
-    nus = np.array([float(nu)])
+    nus = np.array([spectral._check_frequency(nu)])
     return _records(cfg, nus, _raw_grid(panel, cfg, nus), panel)[0]
 
 

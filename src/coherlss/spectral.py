@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import numbers
 
 import numpy as np
 
@@ -20,6 +21,7 @@ SPECTRAL_KINDS = ("smoothed_periodogram", "coherency")
 
 _HERM_RTOL = 1e-12
 _GRID_TOL = 1e-9
+_FLOAT_MAX = float(np.finfo(float).max)  # a Python float compares with any int exactly
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,11 +65,22 @@ class SpectralMatrix:
         return self.values.shape[0]
 
 
+def _dft(data: np.ndarray) -> np.ndarray:
+    table = np.fft.fft(data, axis=1)
+    table /= np.sqrt(data.shape[1])
+    return table
+
+
 def dft_grid(panel: TimeSeriesPanel) -> np.ndarray:
     """M x N table of xi at the Fourier frequencies k/N, via the FFT."""
-    table = np.fft.fft(panel.data, axis=1)
-    table /= np.sqrt(panel.N)
-    return table
+    return _dft(panel.data)
+
+
+def _check_frequency(nu) -> float:
+    """nu as a float; anything but a finite real number (bool included) raises."""
+    if isinstance(nu, bool) or not isinstance(nu, numbers.Real) or not abs(nu) <= _FLOAT_MAX:
+        raise InvalidArgumentError(f"frequencies must be finite real numbers, got {nu!r}")
+    return float(nu)
 
 
 def _check_span(B: int, n: int) -> int:
@@ -147,6 +160,10 @@ class _Windows:
     of them, together with G, which is summed again only when the window's
     tuple of block starts changes.
 
+    Off the grid, with nu N = k0 + rho exactly (k0 an integer, 0 < rho < 1),
+    a _Windows of its own walks window k0 of the FFT table of the panel
+    modulated by e^{-2 i pi n rho/N}: nu and nu + 1 give the same bits.
+
     ``table`` is the panel's dft_grid output, computed at the first on-grid
     window when not given.
     """
@@ -188,13 +205,13 @@ class _Windows:
         if abs(k - round(k)) <= _GRID_TOL * max(1.0, abs(k)):
             s = self._on_grid(int(round(k)))
         else:
-            freqs = nu + np.arange(-(self.B // 2), self.B // 2 + 1) / n
-            phases = np.exp(-2j * np.pi * np.outer(np.arange(n), freqs)) / np.sqrt(n)
-            s = _gram(self.panel.data @ phases)
-            # the same bits as dividing by B+1 (numpy divides a complex array
-            # by a real scalar through its reciprocal), without the complex
-            # division
-            s *= 1.0 / (self.B + 1)
+            # nu N = k0 + rho exactly, 0 < rho < 1, in integers (nu = p/q and
+            # int / int rounds once): column k0 + b of the FFT table of
+            # y_n e^{-2 i pi n rho/N} is xi at nu + b/N
+            p, q = nu.as_integer_ratio()
+            k0, r = divmod(p * n, q)
+            shift = np.exp(-2j * np.pi * (np.arange(n) * (r / (q * n))))
+            s = _Windows(self.panel, self.B, _dft(self.panel.data * shift))._on_grid(k0)
         # a NaN or inf anywhere in W reaches its row's diagonal entry, and a
         # finite diagonal bounds every entry (|S_ij|^2 <= S_ii S_jj)
         if not np.isfinite(s.diagonal()).all():
@@ -202,25 +219,6 @@ class _Windows:
                 f"non-finite smoothed periodogram at nu={nu}; the panel data holds NaN or inf"
             )
         return s
-
-    def coherency(self, nu: float) -> np.ndarray:
-        """The coherency matrix at nu as a new array."""
-        return _normalize(self.periodogram(nu))
-
-
-def periodogram_values(
-    panel: TimeSeriesPanel, nu: float, B: int, grid: np.ndarray | None = None
-) -> np.ndarray:
-    """The smoothed periodogram W W^H / (B+1) at nu as a plain array,
-    Hermitian to rounding; smoothed_periodogram is the checked public form.
-
-    W holds the B+1 <= N DFT columns at nu + b/N (mod 1), b = -B/2..B/2. On
-    the Fourier grid they come from the FFT table (pass a precomputed
-    dft_grid output as ``grid`` to reuse it across frequencies) and S is
-    summed over fixed column blocks, as in a sweep of the grid; off the grid
-    each column is an O(N) direct sum.
-    """
-    return _Windows(panel, B, grid).periodogram(float(nu))
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
@@ -250,13 +248,13 @@ def _normalize(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def smoothed_periodogram(
-    panel: TimeSeriesPanel, nu: float, B: int, grid: np.ndarray | None = None
-) -> SpectralMatrix:
-    """Average of B+1 rank-one DFT outer products at nu + b/N (mod 1), as a
-    validated matrix; see periodogram_values."""
-    return SpectralMatrix(values=periodogram_values(panel, nu, B, grid), nu=float(nu) % 1.0,
-                          B=B, kind="smoothed_periodogram")
+def smoothed_periodogram(panel: TimeSeriesPanel, nu: float, B: int) -> SpectralMatrix:
+    """Average of the B+1 <= N rank-one DFT outer products at nu + b/N
+    (mod 1), b = -B/2..B/2, as a validated matrix: the kernel's S, formed
+    by the window walk of _Windows on and off the Fourier grid."""
+    nu = _check_frequency(nu)
+    return SpectralMatrix(values=_Windows(panel, B).periodogram(nu), nu=nu % 1.0, B=B,
+                          kind="smoothed_periodogram")
 
 
 def coherency_matrix(S: SpectralMatrix) -> SpectralMatrix:

@@ -288,7 +288,7 @@ def _excursions_by_eigvalsh(cfg):
     for seed in cfg.replicate_seeds():
         windows = spectral._Windows(simulate_panel(cfg.model(), cfg.M, cfg.N, seed), cfg.B)
         for nu in lcfg.grid:
-            eigs = np.linalg.eigvalsh(windows.coherency(nu))
+            eigs = np.linalg.eigvalsh(spectral._normalize(windows.periodogram(nu)))
             below = max(below, mp.lambda_minus - float(eigs[0]))
             above = max(above, float(eigs[-1]) - mp.lambda_plus)
     return below, above

@@ -94,6 +94,14 @@ def test_config_validation():
         LssConfig(N=2048, B=256, M=128, grid=())
     with pytest.raises(ConfigError):
         LssConfig(N=2048, B=256, M=128, grid=(0.1, float("nan")))
+    # a grid entry must be a finite real number: no None, string, list,
+    # complex number or bool, and no infinity or int beyond the float range
+    for bad in (None, "x", "0.25", [0.1], 1 + 2j, True, np.bool_(False), float("inf"),
+                -float("inf"), 10 ** 400):
+        with pytest.raises(ConfigError):
+            LssConfig(N=2048, B=256, M=128, grid=(0.1, bad))
+    with pytest.raises(ConfigError):
+        LssConfig(N=2048, B=256, M=128, grid=5)
     with pytest.raises(ConfigError):
         LssConfig(N=2048, B=256, M=128, f="cubic")
     with pytest.raises(ConfigError):
@@ -448,6 +456,20 @@ def test_mixed_grid_matches_psi_at_exactly(mode):
         assert psi_at(panel, cfg, nu) == records[k]
 
 
+@pytest.mark.parametrize("nu", [float("nan"), float("inf"), -float("inf"), None, "0.25", True,
+                                np.bool_(True), 1 + 2j, [0.25],
+                                pytest.param(10 ** 400, id="10**400")])
+def test_bad_frequency_is_invalid_argument(nu):
+    # a frequency must be a finite real number, and anything else is an
+    # InvalidArgumentError rather than a raw ValueError, TypeError or
+    # OverflowError, or a silent conversion
+    panel = simulate_panel(ModelSpec.ar1(0.4), 8, 64, seed=1)
+    with pytest.raises(InvalidArgumentError, match="frequencies"):
+        psi_at(panel, LssConfig(N=64, B=16, M=8), nu)
+    with pytest.raises(InvalidArgumentError, match="frequencies"):
+        smoothed_periodogram(panel, nu, B=16)
+
+
 def test_public_matrices_carry_the_kernel_bits():
     # the validated public matrices wrap the grid kernel's arrays, so the
     # statistic of the public periodogram is the panel record's lss_raw
@@ -460,7 +482,8 @@ def test_public_matrices_carry_the_kernel_bits():
         cfg = LssConfig(N=512, B=96, M=48, f=f, correction_mode="oracle")
         for nu in (0.25, 0.1234567):
             C = coherency_matrix(smoothed_periodogram(panel, nu, B=96))
-            assert np.array_equal(C.values, spectral._Windows(panel, 96).coherency(nu))
+            windows = spectral._Windows(panel, 96)
+            assert np.array_equal(C.values, spectral._normalize(windows.periodogram(nu)))
             S = np.array(smoothed_periodogram(panel, nu, B=96).values)
             raw = _raw_at(S, cfg.f, mp_integral_value(cfg.c_N, cfg.f))
             assert raw == psi_at(panel, cfg, nu).lss_raw

@@ -45,8 +45,35 @@ def test_renormalized_dft_direct_formula():
         assert max(abs(_renormalized_dft(y, nu) - d) for y, d in zip(data, direct)) < 1e-12
         S = smoothed_periodogram(panel, nu, B=0).values
         np.testing.assert_allclose(S, np.outer(direct, np.conj(direct)), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(smoothed_periodogram(panel, 1.3, B=0).values,
-                               smoothed_periodogram(panel, 0.3, B=0).values, rtol=0, atol=1e-10)
+    # the frequency is reduced mod 1 exactly, so a dyadic nu and its integer
+    # shifts give the same bits
+    nu = 63 / 512
+    S = smoothed_periodogram(panel, nu, B=0).values
+    for shifted in (nu - 3, nu + 1, nu + 7):
+        assert np.array_equal(smoothed_periodogram(panel, shifted, B=0).values, S)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("N, B", [(2048, 256), (1063, 96), (257, 8), (64, 0)])
+def test_off_grid_periodogram_matches_extended_precision_oracle(N, B):
+    # S off the grid against W W^H / (B+1) in extended precision, whose
+    # phase n (nu + b/N) is reduced mod 1 before the exponential: n nu is
+    # exact in long double and n b is reduced mod N in integers
+    panel = simulate_panel(ModelSpec.ar1(0.4), 4, N, seed=N + B)
+    y = panel.data.astype(np.clongdouble)
+    n = np.arange(N)
+    b = np.arange(-(B // 2), B // 2 + 1)
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    for nu in (0.1234567, 0.7 + 0.3 / N, -0.4321, 3.999):
+        t = n.astype(np.longdouble) * np.longdouble(nu)
+        t = (t - np.floor(t))[:, None] + np.mod(np.outer(n, b), N) / np.longdouble(N)
+        t -= np.floor(t)
+        w = y @ (np.cos(two_pi * t) - 1j * np.sin(two_pi * t)) / np.sqrt(np.longdouble(N))
+        expected = w @ w.conj().T / (B + 1)
+        got = smoothed_periodogram(panel, nu, B).values
+        error = np.linalg.norm((got - expected).astype(np.complex128))
+        assert error <= 2e-15 * np.linalg.norm(expected.astype(np.complex128)), nu
 
 
 def test_dft_grid_matches_pointwise():
@@ -120,7 +147,7 @@ def test_block_sum_matches_direct_window(N, B):
     # 8 columns), and subtract from the short last block [N//beta * beta, N)
     # (1063 = 16 * 64 + 39, 257 = 10 * 25 + 7, 520 = 16 * 32 + 8). The cut
     # of a window, cached for every panel, is read-only.
-    from coherlss.spectral import _window_cut, _Windows, periodogram_values
+    from coherlss.spectral import _window_cut, _Windows
 
     panel = simulate_panel(ModelSpec.ar1(0.4), 5, N, seed=N + B)
     table = dft_grid(panel)
@@ -128,7 +155,7 @@ def test_block_sum_matches_direct_window(N, B):
     ks = [0, 1, N - 1] + list(range(2, N - 1, 3)) + [N - 2, 0]
     for k in ks:
         expected = _direct_periodogram(table, k, B)
-        for got in (windows.periodogram(k / N), periodogram_values(panel, k / N, B)):
+        for got in (windows.periodogram(k / N), smoothed_periodogram(panel, k / N, B).values):
             assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
         _, columns, coef = _window_cut(k, B, N)
         assert not columns.flags.writeable and not coef.flags.writeable
