@@ -84,6 +84,7 @@ class ExperimentConfig:
     replicates: int = 1
     seed: int = 0
     threads: int = 1
+    _lss: LssConfig = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # fail fast: the counts, the seed, the model and the statistic config
@@ -93,7 +94,11 @@ class ExperimentConfig:
                 object.__setattr__(self, name, lss._check_positive_int(getattr(self, name), name))
             object.__setattr__(self, "seed", _check_seed(self.seed))
             object.__setattr__(self, "theta", self.model().theta)
-            self.lss_config()
+            object.__setattr__(self, "_lss", LssConfig(
+                N=self.N, B=self.B, M=self.M, alpha=self.alpha, L=self.L, f=self.f,
+                correction_mode=self.correction_mode,
+                grid=lss.default_grid(self.N, self.grid_stride),
+            ))
         except InvalidArgumentError as err:
             raise ConfigError(str(err)) from err
 
@@ -101,11 +106,8 @@ class ExperimentConfig:
         return ModelSpec("white_noise" if self.theta == 0.0 else "ar1", self.theta)
 
     def lss_config(self) -> LssConfig:
-        return LssConfig(
-            N=self.N, B=self.B, M=self.M, alpha=self.alpha, L=self.L, f=self.f,
-            correction_mode=self.correction_mode,
-            grid=lss.default_grid(self.N, self.grid_stride),
-        )
+        """The statistic config validated on construction."""
+        return self._lss
 
     def replicate_seeds(self) -> list[int]:
         return [split_seed(self.seed, i) for i in range(self.replicates)]
@@ -385,7 +387,8 @@ def _certified_inside(c: np.ndarray, lo: float, hi: float) -> bool:
 
     C is a coherency matrix, whose diagonal is exactly 1.
     """
-    shifted = np.negative(c)
+    # negating the float64 view gives the same bits several times faster
+    shifted = np.negative(c.view(np.float64)).view(np.complex128)
     diagonal = spectral._diagonal(shifted)
     diagonal[...] = hi - 1.0
     try:

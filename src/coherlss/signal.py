@@ -155,9 +155,16 @@ def _complex_normal(rng: np.random.Generator, n: int, variance: float) -> np.nda
     return z
 
 
-def _row_rng(seed: int, row: int) -> np.random.Generator:
-    key = np.array([seed, row], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _row_stream(bit_generator: np.random.Philox, seed: int, row: int) -> None:
+    """Reset the Philox to the stream of key (seed, row): a zero counter and
+    an empty buffer, the state of a fresh Philox(key=[seed, row])."""
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed, row], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
 
 
 def simulate_panel(model: ModelSpec, M: int, N: int, seed: int) -> TimeSeriesPanel:
@@ -173,8 +180,12 @@ def simulate_panel(model: ModelSpec, M: int, N: int, seed: int) -> TimeSeriesPan
     data = np.empty((M, N), dtype=np.complex128)
     th = model.theta
     y0 = np.empty(M, dtype=np.complex128)
+    # one bit generator for the panel, reset to each row's key: building a
+    # Philox per row costs several times more than the reset
+    bit_generator = np.random.Philox(0)
+    rng = np.random.Generator(bit_generator)
     for m in range(M):
-        rng = _row_rng(seed, m)
+        _row_stream(bit_generator, seed, m)
         if not model.is_white:
             y0[m] = _complex_normal(rng, 1, 1.0 / (1.0 - th * th))[0]
         data[m] = _complex_normal(rng, N, 1.0)

@@ -6,6 +6,9 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+import record_artifact_digests as recorder
+
 import coherlss
 from coherlss import rmt
 from coherlss.cli import EXIT_CONFIG, EXIT_OK, run
@@ -174,3 +177,20 @@ def test_validate_rejects_config_before_quadrature(tmp_path, monkeypatch, capsys
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert calls == []
+
+
+def test_artifacts_match_pinned_digests(tmp_path):
+    # the six pinned runs write files whose sha256 equal the recorded ones;
+    # the digests hold only for the numpy and BLAS they were recorded with.
+    # After a change that moves values on purpose, rerun
+    # tests/record_artifact_digests.py and say in CHANGES.md what moved.
+    pinned = json.loads(recorder.DIGESTS_PATH.read_text(encoding="utf-8"))
+    here = recorder.platform()
+    for key in ("numpy", "blas", "numpy_simd"):
+        if here[key] != pinned[key]:
+            pytest.skip(f"digests were recorded with {key} {pinned[key]!r}, this is {here[key]!r}")
+    assert list(pinned["commands"]) == list(recorder.COMMANDS)
+    got = recorder.run_commands(tmp_path)
+    for name, entry in pinned["commands"].items():
+        assert entry["argv"] == recorder.COMMANDS[name]
+        assert got[name] == entry["files"], name

@@ -500,7 +500,7 @@ def test_block_walk_is_grid_independent_and_bounded(f, monkeypatch):
     from coherlss.lss import _raw_at, mp_integral_value, sweep_panel
 
     N, B, M = 512, 96, 48
-    beta = max(1, (B + 1) // 4)
+    beta = spectral._block_width(B)
     held = []
     walk = spectral._Windows._on_grid
 

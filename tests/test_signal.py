@@ -20,7 +20,13 @@ from coherlss import (
     spectral_density,
     spectral_density_derivative,
 )
-from coherlss.signal import _complex_normal, _row_rng
+from coherlss import signal
+from coherlss.signal import _complex_normal
+
+
+def _row_rng(seed, row):
+    """The stream of one panel row: a fresh Philox keyed on (seed, row)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, row], dtype=np.uint64)))
 
 
 def test_model_validation():
@@ -125,6 +131,40 @@ def test_ar1_panel_matches_lfilter_oracle(theta, shape):
             eps = _complex_normal(rng, N, 1.0)
             expected[m], _ = lfilter([1.0], [1.0, -theta], eps, zi=np.array([theta * y0]))
         np.testing.assert_array_equal(simulate_panel(ModelSpec.ar1(theta), M, N, seed).data, expected)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.4])
+def test_rows_draw_fresh_philox_streams(theta, monkeypatch):
+    # the panel resets one Philox to each row's key; every draw of a row,
+    # the AR(1) y0 included, equals the draw from a fresh per-row Philox
+    draws = []
+
+    def recording(rng, n, variance):
+        z = _complex_normal(rng, n, variance)
+        draws.append((n, variance, z.copy()))
+        return z
+
+    monkeypatch.setattr(signal, "_complex_normal", recording)
+    model = ModelSpec.white_noise() if theta == 0.0 else ModelSpec.ar1(theta)
+    M, N = 9, 17  # rows end with the Philox buffer part-used
+    for seed in (0, 7, 2 ** 64 - 1):
+        draws.clear()
+        data = simulate_panel(model, M, N, seed).data
+        per_row = 1 if theta == 0.0 else 2
+        assert len(draws) == per_row * M
+        for m in range(M):
+            rng = _row_rng(seed, m)
+            for n, variance, z in draws[per_row * m: per_row * (m + 1)]:
+                assert np.array_equal(z, _complex_normal(rng, n, variance))
+            if theta == 0.0:
+                assert np.array_equal(data[m], draws[m][2])
+    # a reset also clears a buffered 32-bit half and a part-used buffer
+    bit_generator = np.random.Philox(5)
+    rng = np.random.Generator(bit_generator)
+    rng.integers(0, 10, size=3, dtype=np.uint32)
+    rng.standard_normal(3)
+    signal._row_stream(bit_generator, 7, 2)
+    assert np.array_equal(rng.standard_normal(11), _row_rng(7, 2).standard_normal(11))
 
 
 def _paired_normals(rng, n, variance):

@@ -136,17 +136,21 @@ def _direct_periodogram(table, k, B):
 
 @pytest.mark.parametrize("N, B", [(257, 0), (257, 2), (257, 8), (257, 96), (1063, 96),
                                   (1063, 8), (65, 64), (256, 96),
-                                  (257, 100), (520, 130), (1063, 256), (2048, 256)])
+                                  (257, 100), (520, 130), (1063, 256), (2048, 256),
+                                  (257, 200), (520, 258), (1063, 512)])
 def test_block_sum_matches_direct_window(N, B):
     # windows that wrap past 0 and N-1, N not a multiple of the block width,
     # and B+1 = N; the grid walk (Grams reused across windows) and the
-    # single-window form both match the oracle. The last four cases take a
-    # block Gram minus its uncovered columns at both ends of one window
-    # (beta = 25, 32 and 64 with B+1 = 4 beta + 1 or + 3), split a block
-    # exactly in half (beta = 32 and 64, and the last block [512, 520) of
-    # 8 columns), and subtract from the short last block [N//beta * beta, N)
-    # (1063 = 16 * 64 + 39, 257 = 10 * 25 + 7, 520 = 16 * 32 + 8). The cut
-    # of a window, cached for every panel, is read-only.
+    # single-window form both match the oracle. The last three cases, with
+    # beta = (B+1)//8 = 25, 32 and 64 and B+1 = 8 beta + 1 or + 3, take a
+    # block Gram minus its uncovered columns at both ends of one window,
+    # split a block exactly in half (beta = 32 and 64, and the last block
+    # [512, 520) of 8 columns), and subtract from the short last block
+    # [N//beta * beta, N) (257 = 10 * 25 + 7, 520 = 16 * 32 + 8,
+    # 1063 = 16 * 64 + 39); (257, 100), (520, 130) and (1063, 256) did the
+    # same at the wider block of (B+1)//4 and still take every one of these
+    # cuts at beta = 12, 16 and 32. The cut of a window, cached for every
+    # panel, is read-only.
     from coherlss.spectral import _window_cut, _Windows
 
     panel = simulate_panel(ModelSpec.ar1(0.4), 5, N, seed=N + B)
@@ -163,7 +167,7 @@ def test_block_sum_matches_direct_window(N, B):
 
 @pytest.mark.parametrize("stride", [4, 1])
 def test_grid_walk_ragged_products_are_short(stride, monkeypatch):
-    # the desk shape (beta = 64): beyond the block Grams a window makes at
+    # the desk shape (beta = 32): beyond the block Grams a window makes at
     # most one product, signed over the added and the subtracted columns,
     # and it covers no more than floor(beta/2) columns of either ragged end,
     # since an end covering more than half its block is taken as the
@@ -171,7 +175,7 @@ def test_grid_walk_ragged_products_are_short(stride, monkeypatch):
     from coherlss import spectral
 
     N, B, M = 2048, 256, 8
-    beta = (B + 1) // 4
+    beta = spectral._block_width(B)
     panel = simulate_panel(ModelSpec.ar1(0.4), M, N, seed=4)
     table = dft_grid(panel)
     column = {table[:, j].tobytes(): j for j in range(N)}
