@@ -426,12 +426,10 @@ def dft_covariance_check(model: ModelSpec, N_list, nu1: float, nu2: float):
     rows = []
     for N in N_list:
         N = int(N)
-        for nu in (nu1, nu2):
-            k = nu * N
-            if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)):
-                raise InvalidArgumentError(
-                    f"frequency {nu} is not on the length-{N} Fourier grid"
-                )
+        (k1, rho1), (k2, rho2) = spectral._split(nu1, N), spectral._split(nu2, N)
+        if rho1 or rho2:
+            raise InvalidArgumentError(
+                f"frequency {nu1 if rho1 else nu2} is not on the length-{N} Fourier grid")
         delta = nu1 - nu2
         U = 0
         while U + 1 < N and abs(autocovariance(model, U + 1)) >= 1e-16:
@@ -444,8 +442,7 @@ def dft_covariance_check(model: ModelSpec, N_list, nu1: float, nu2: float):
         g_rev = _dirichlet_sum(N - v, delta)
         rev = np.sum(np.conj(r_u[1:]) * np.exp(2j * np.pi * v * nu2) * g_rev)
         expected = (fwd + rev) / N
-        same = abs(delta * N - round(delta * N)) < 1e-9 and round(delta * N) % N == 0
-        target = spectral_density(model, nu1) if same else 0.0
+        target = spectral_density(model, nu1) if k1 == k2 else 0.0
         deviation = abs(expected - target)
         rows.append((N, float(deviation), float(deviation * N)))
     return rows

@@ -340,12 +340,15 @@ def _raw_grid(panel: TimeSeriesPanel, cfg: LssConfig, nus: np.ndarray) -> np.nda
     """lss_raw at each frequency, each from its own window alone, so a
     frequency gets the same bits on any grid and from psi_at.
 
-    One FFT table, built at the first on-grid frequency, serves the grid;
-    an off-grid frequency walks a frequency-shifted table of its own.
+    Walked in a stable sort by grid offset rho/N and scattered back, so
+    _Windows builds one FFT table per distinct rho; a Fourier grid walks as is.
     """
     mp_val = mp_integral_value(cfg.c_N, cfg.f)
     windows = spectral._Windows(panel, cfg.B)
-    return np.array([_raw_at(windows.periodogram(nu), cfg.f, mp_val) for nu in nus.tolist()])
+    order = np.argsort([spectral._split(nu, panel.N)[1] for nu in nus.tolist()], kind="stable")
+    raw = np.empty(len(nus))
+    raw[order] = [_raw_at(windows.periodogram(nu), cfg.f, mp_val) for nu in nus[order].tolist()]
+    return raw
 
 
 def sup_abs(nu: np.ndarray, values) -> tuple[float, float]:

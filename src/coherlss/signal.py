@@ -174,8 +174,9 @@ def simulate_panel(model: ModelSpec, M: int, N: int, seed: int) -> TimeSeriesPan
     (no burn-in), then y_n = theta y_{n-1} + eps_n with eps_n ~ N_C(0, 1).
     Deterministic given (model, M, N, seed); row m depends only on (seed, m).
     """
-    if M < 1 or N < 1:
-        raise InvalidArgumentError(f"M, N >= 1 required, got M={M}, N={N}")
+    for name, size in (("M", M), ("N", N)):
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+            raise InvalidArgumentError(f"{name} must be a positive integer, got {size!r}")
     seed = _check_seed(seed)
     data = np.empty((M, N), dtype=np.complex128)
     th = model.theta

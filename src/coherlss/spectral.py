@@ -82,8 +82,8 @@ def _check_frequency(nu) -> float:
 
 
 def _check_span(B: int, n: int) -> int:
-    if not isinstance(B, (int, np.integer)) or B < 0 or B % 2 != 0:
-        raise InvalidArgumentError(f"smoothing span B must be an even integer >= 0, got {B}")
+    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 0 or B % 2 != 0:
+        raise InvalidArgumentError(f"smoothing span B must be an even integer >= 0, got {B!r}")
     if B + 1 > n:
         # a longer window would take some DFT column twice
         raise InvalidArgumentError(f"the window of B+1={B + 1} columns exceeds N={n}")
@@ -133,52 +133,67 @@ def _window_cut(k: int, B: int, n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     return tuple(starts), columns, coef
 
 
+def _split(nu: float, n: int) -> tuple[int, float]:
+    """(k mod N, rho/N) with nu N = k + rho, k an integer and 0 <= rho < 1:
+    rho = 0 within 1e-9 of the Fourier grid; otherwise the split is exact in
+    integers (nu = p/q, and int / int rounds once), so nu and nu + 1 split
+    alike."""
+    k = nu * n
+    if abs(k - round(k)) <= _GRID_TOL * max(1.0, abs(k)):
+        return int(round(k)) % n, 0.0
+    p, q = nu.as_integer_ratio()
+    k, r = divmod(p * n, q)
+    return k % n, r / (q * n)
+
+
 class _Windows:
     """Smoothed periodograms S = W W^H / (B+1) of one panel at span B.
 
-    On the Fourier grid a window's columns are cut at the multiples of the
-    block width beta = max(1, (B+1)//8) of the column index k mod N, and at
-    N where the window wraps. A block the window covers more than half of
-    (a whole block, or a long ragged end) enters through the block's Gram;
-    for a long ragged end the block's uncovered columns are subtracted
+    With nu N = k + rho (_split), S at nu is window k of the FFT table of
+    the panel modulated by e^{-2 i pi n rho/N}, whose column k + b is xi at
+    nu + b/N; at rho = 0 it is dft_grid. A window's columns are cut at the
+    multiples of the block width beta = max(1, (B+1)//8) of the column index
+    k, and at N where the window wraps. A block the window covers more than
+    half of (a whole block, or a long ragged end) enters through the block's
+    Gram; for a long ragged end the block's uncovered columns are subtracted
     again. The columns of the shorter ragged ends are added directly. So
     S = W_r diag(c) W_r^H + G in one signed product: W_r gathers the added
     columns, then the subtracted ones, at most floor(beta/2) of each per
     end, in window order; c is +1/(B+1) on the added and -1/(B+1) on the
     subtracted columns; and G is the window-order sum of the block Grams,
     scaled by 1/(B+1) once when it is summed. The cut, and with it every bit
-    of S, depends on (k, B, N) alone: a frequency gets the same S on any
-    grid, in any order and on its own, and _window_cut computes it once for
-    all the panels of a configuration. Against one direct product
+    of S, depends on (k, rho, B, N) alone: a frequency gets the same S on
+    any grid, in any order and on its own, and _window_cut computes it once
+    for all the panels of a configuration. Against one direct product
     W W^H / (B+1), S differs at the ulp level (a relative error of at most
     6.6e-16 in the Frobenius norm on the configs of the block-sum test).
 
-    A block's Gram is kept while the next window still needs it: after each
-    window only that window's Grams are held, at most ceil((B+1)/beta) + 1
-    of them, together with G, which is summed again only when the window's
-    tuple of block starts changes.
-
-    Off the grid, with nu N = k0 + rho exactly (k0 an integer, 0 < rho < 1),
-    a _Windows of its own walks window k0 of the FFT table of the panel
-    modulated by e^{-2 i pi n rho/N}: nu and nu + 1 give the same bits.
-
-    ``table`` is the panel's dft_grid output, computed at the first on-grid
-    window when not given.
+    One table is held at a time, keyed by rho/N, and rebuilt with its Grams
+    only when a frequency's rho/N differs from the held one. A block's Gram
+    is kept while the next window still needs it: after each window only
+    that window's Grams are held, at most ceil((B+1)/beta) + 1 of them,
+    together with G, which is summed again only when the window's tuple of
+    block starts changes.
     """
 
-    def __init__(self, panel: TimeSeriesPanel, B: int, table: np.ndarray | None = None):
+    def __init__(self, panel: TimeSeriesPanel, B: int):
         self.panel = panel
         self.B = _check_span(B, panel.N)
         self.width = _block_width(self.B)
-        self.table = table
+        self.rho, self.table = None, None  # rho/N of the held FFT table
         self.grams: dict[int, np.ndarray] = {}
         self.block_sum: tuple[tuple, np.ndarray | None] = ((), None)
 
-    def _on_grid(self, k: int) -> np.ndarray:
-        if self.table is None:
-            self.table = dft_grid(self.panel)
+    def periodogram(self, nu: float) -> np.ndarray:
+        """S at nu as a new array, Hermitian to rounding."""
         n, width = self.panel.N, self.width
-        key, columns, coef = _window_cut(k % n, self.B, n)
+        k, rho = _split(nu, n)
+        if rho != self.rho:
+            self.table, self.grams, self.block_sum = None, {}, ((), None)  # one table at a time
+            self.table = (_dft(self.panel.data * np.exp(-2j * np.pi * (np.arange(n) * rho)))
+                          if rho else dft_grid(self.panel))
+            self.rho = rho
+        key, columns, coef = _window_cut(k, self.B, n)
         if key != self.block_sum[0]:
             held = {}
             for lo in key:
@@ -191,26 +206,11 @@ class _Windows:
             total *= 1.0 / (self.B + 1)
             self.grams, self.block_sum = held, (key, total)
         total = self.block_sum[1]
-        if not columns.size:
-            return total.copy()
-        s = _gram(self.table.take(columns, axis=1), coef)
-        s += total
-        return s
-
-    def periodogram(self, nu: float) -> np.ndarray:
-        """S at nu as a new array, Hermitian to rounding."""
-        n = self.panel.N
-        k = nu * n
-        if abs(k - round(k)) <= _GRID_TOL * max(1.0, abs(k)):
-            s = self._on_grid(int(round(k)))
+        if columns.size:
+            s = _gram(self.table.take(columns, axis=1), coef)
+            s += total
         else:
-            # nu N = k0 + rho exactly, 0 < rho < 1, in integers (nu = p/q and
-            # int / int rounds once): column k0 + b of the FFT table of
-            # y_n e^{-2 i pi n rho/N} is xi at nu + b/N
-            p, q = nu.as_integer_ratio()
-            k0, r = divmod(p * n, q)
-            shift = np.exp(-2j * np.pi * (np.arange(n) * (r / (q * n))))
-            s = _Windows(self.panel, self.B, _dft(self.panel.data * shift))._on_grid(k0)
+            s = total.copy()
         # a NaN or inf anywhere in W reaches its row's diagonal entry, and a
         # finite diagonal bounds every entry (|S_ij|^2 <= S_ii S_jj)
         if not np.isfinite(s.diagonal()).all():
@@ -249,8 +249,8 @@ def _normalize(s: np.ndarray) -> np.ndarray:
 
 def smoothed_periodogram(panel: TimeSeriesPanel, nu: float, B: int) -> SpectralMatrix:
     """Average of the B+1 <= N rank-one DFT outer products at nu + b/N
-    (mod 1), b = -B/2..B/2, as a validated matrix: the kernel's S, formed
-    by the window walk of _Windows on and off the Fourier grid."""
+    (mod 1), b = -B/2..B/2, as a validated matrix: the kernel's S, window
+    k of the table that _Windows builds for nu's grid offset rho."""
     nu = _check_frequency(nu)
     return SpectralMatrix(values=_Windows(panel, B).periodogram(nu), nu=nu % 1.0, B=B,
                           kind="smoothed_periodogram")

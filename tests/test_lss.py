@@ -442,18 +442,50 @@ def test_entry_points_agree_exactly(mode):
         assert psi_at(panel, lcfg, nu) == rec
 
 
-@pytest.mark.parametrize("mode", ["none", "oracle", "plugin"])
-def test_mixed_grid_matches_psi_at_exactly(mode):
+# the quarter lattice (k + j/4)/512 in k-major order, then a grid point:
+# the grid offsets rho = 0, 1/4, 1/2, 3/4 interleave and repeat
+_INTERLEAVED = tuple((k + j / 4) / 512 for k in range(200, 204) for j in range(4)) + (0.25,)
+
+
+@pytest.mark.parametrize("mode, grid", [
+    *(pytest.param(mode, (0.25, 0.1234567, 3 / 512, 0.7071, 0.5, 511 / 512), id=mode)
+      for mode in ("none", "oracle", "plugin")),
+    *(pytest.param(mode, _INTERLEAVED, id=f"interleaved-{mode}")
+      for mode in ("none", "oracle", "plugin"))])
+def test_mixed_grid_matches_psi_at_exactly(mode, grid):
     # on- and off-Fourier frequencies in one grid: each frequency's value,
     # and its lag-window plug-in r, comes from its own window, so psi_at
     # reproduces every record
     model = ModelSpec.ar1(0.4)
     panel = simulate_panel(model, 48, 512, seed=13)
-    grid = (0.25, 0.1234567, 3 / 512, 0.7071, 0.5, 511 / 512)
     cfg = LssConfig(N=512, B=96, M=48, grid=grid, correction_mode=mode)
     _, _, records = sup_over_grid(panel, cfg)
     for k, nu in enumerate(grid):
         assert psi_at(panel, cfg, nu) == records[k]
+
+
+def test_grid_walk_builds_one_table_per_grid_offset(monkeypatch):
+    # _raw_grid walks the frequencies one grid offset rho at a time, so the
+    # interleaved lattice builds four FFT tables, one per distinct rho and
+    # the rho = 0 one through dft_grid, and every value is psi_at's
+    from coherlss import spectral
+
+    panel = simulate_panel(ModelSpec.ar1(0.4), 48, 512, seed=13)
+    cfg = LssConfig(N=512, B=96, M=48, grid=_INTERLEAVED, correction_mode="none")
+    calls = []
+
+    def counted(name):
+        built = getattr(spectral, name)
+        return lambda data: calls.append(name) or built(data)
+
+    for name in ("_dft", "dft_grid"):
+        monkeypatch.setattr(spectral, name, counted(name))
+    raw = _raw_grid(panel, cfg, cfg.grid_array)
+    assert len({spectral._split(nu, 512)[1] for nu in _INTERLEAVED}) == 4
+    assert calls.count("_dft") == 4 and calls.count("dft_grid") == 1
+    monkeypatch.undo()
+    for nu, value in zip(_INTERLEAVED, raw.tolist()):
+        assert value == psi_at(panel, cfg, nu).lss_raw
 
 
 @pytest.mark.parametrize("nu", [float("nan"), float("inf"), -float("inf"), None, "0.25", True,
@@ -495,21 +527,22 @@ def test_public_matrices_carry_the_kernel_bits():
 @pytest.mark.parametrize("f", ["square_centered", "log"])
 def test_block_walk_is_grid_independent_and_bounded(f, monkeypatch):
     # every grid, any grid order, psi_at and the public matrices give the
-    # same lss_raw bits, and a walk holds at most ceil((B+1)/beta) + 1 Grams
+    # same lss_raw bits, and a walk, on the grid or on the off-grid lattice
+    # (k + 1/2)/N, holds at most ceil((B+1)/beta) + 1 Grams
     from coherlss import spectral
     from coherlss.lss import _raw_at, mp_integral_value, sweep_panel
 
     N, B, M = 512, 96, 48
     beta = spectral._block_width(B)
     held = []
-    walk = spectral._Windows._on_grid
+    walk = spectral._Windows.periodogram
 
-    def counting(self, k):
-        s = walk(self, k)
+    def counting(self, nu):
+        s = walk(self, nu)
         held.append(len(self.grams))
         return s
 
-    monkeypatch.setattr(spectral._Windows, "_on_grid", counting)
+    monkeypatch.setattr(spectral._Windows, "periodogram", counting)
     panel = simulate_panel(ModelSpec.ar1(0.4), M, N, seed=21)
     full = LssConfig(N=N, B=B, M=M, f=f, correction_mode="none", grid=default_grid(N, 1))
     by_nu = dict(zip(full.grid, sweep_panel(panel, full).lss_raw.tolist()))
@@ -524,6 +557,12 @@ def test_block_walk_is_grid_independent_and_bounded(f, monkeypatch):
         S = np.array(smoothed_periodogram(panel, nu, B=B).values)
         assert _raw_at(S, full.f, mp_integral_value(full.c_N, full.f)) == by_nu[nu]
     assert held and max(held) <= math.ceil((B + 1) / beta) + 1
+    held.clear()
+    lattice = dataclasses.replace(full, grid=tuple((k + 0.5) / N for k in range(N)))
+    raw = sweep_panel(panel, lattice).lss_raw
+    assert len(held) == N and max(held) <= math.ceil((B + 1) / beta) + 1
+    for k in (0, 97, 300, N - 1):
+        assert psi_at(panel, lattice, lattice.grid[k]).lss_raw == raw[k]
 
 
 def _twin_row_panel():

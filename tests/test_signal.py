@@ -263,6 +263,20 @@ def test_panel_validation():
         simulate_panel(ModelSpec.white_noise(), 0, 4, seed=0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 16.0, "16", True, False, None])
+def test_bad_sizes_are_invalid_argument(bad):
+    # M, N and the span B are integers, and a bool is not one: False is not
+    # B = 0, and a float or str size is an InvalidArgumentError, not a raw
+    # TypeError from numpy
+    model = ModelSpec.white_noise()
+    with pytest.raises(InvalidArgumentError, match="M must be"):
+        simulate_panel(model, bad, 16, seed=0)
+    with pytest.raises(InvalidArgumentError, match="N must be"):
+        simulate_panel(model, 4, bad, seed=0)
+    with pytest.raises(InvalidArgumentError, match="smoothing span"):
+        coherlss.smoothed_periodogram(simulate_panel(model, 4, 16, seed=0), 0.25, bad)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_panel_rejects_non_finite_data(bad):
     # caught here, a NaN cannot reach the eigensolver as a raw LinAlgError

@@ -1,7 +1,11 @@
 """DFTs, smoothed periodograms, coherency normalization, lag windows."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherlss import (
     DegenerateSpectrumError,
@@ -155,7 +159,7 @@ def test_block_sum_matches_direct_window(N, B):
 
     panel = simulate_panel(ModelSpec.ar1(0.4), 5, N, seed=N + B)
     table = dft_grid(panel)
-    windows = _Windows(panel, B, table)
+    windows = _Windows(panel, B)
     ks = [0, 1, N - 1] + list(range(2, N - 1, 3)) + [N - 2, 0]
     for k in ks:
         expected = _direct_periodogram(table, k, B)
@@ -187,7 +191,7 @@ def test_grid_walk_ragged_products_are_short(stride, monkeypatch):
         return gram(w, coef)
 
     monkeypatch.setattr(spectral, "_gram", recording)
-    windows = spectral._Windows(panel, B, table)
+    windows = spectral._Windows(panel, B)
     with_ragged = 0
     for k in range(0, N, stride):
         products.clear()
@@ -203,6 +207,27 @@ def test_grid_walk_ragged_products_are_short(stride, monkeypatch):
             assert max(len(run) for run in runs) <= beta // 2, (k, [len(r) for r in runs])
     # the ragged products pass through _gram, so the bounds above hold for them
     assert with_ragged > 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(-2 ** 20, 2 ** 20),
+       st.one_of(st.integers(0, 12).map(lambda e: 2 ** e), st.integers(1, 5000)),
+       st.integers(1, 63), st.integers(-500, 500))
+def test_split_is_exact_periodic_and_snaps_to_the_grid(k, N, j, drift):
+    # nu N = k + rho with a dyadic rho = j/64: the split is k mod N and
+    # nu - k/N rounded once, which is rho/N to the rounding of nu itself
+    from coherlss.spectral import _split
+
+    rho = j / 64
+    nu = (k + rho) / N
+    assert _split(nu, N) == (k % N, float(Fraction(nu) - Fraction(k, N)))
+    assert abs(_split(nu, N)[1] - rho / N) <= 2.0 ** -52 * (abs(k) + 1) / N
+    if N & (N - 1) == 0:
+        # nu, nu + 1 and nu - 3 are exact floats, and so is rho/N
+        assert _split(nu, N) == _split(nu + 1, N) == _split(nu - 3, N) == (k % N, rho / N)
+    # within the 1e-9 tolerance of the grid point k/N, nu is on the grid
+    near = (k + drift * 1.9e-12 * max(1, abs(k))) / N
+    assert _split(near, N) == (k % N, 0.0)
 
 
 def test_smoothed_periodogram_mean_tracks_density():
