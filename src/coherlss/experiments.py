@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import numbers
@@ -181,24 +180,18 @@ def frequency_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Raw statistic and both corrections on the grid, per seed and averaged."""
     reps = _replicates(cfg)
     vn, phi = reps[0].v_n, reps[0].phi
-    records = tuple(
-        RunRecord(
-            seed=seed,
-            rows=tuple(zip(sw.nu.tolist(), sw.lss_raw.tolist(), itertools.repeat(vn),
-                           sw.r_oracle.tolist(), sw.r_plugin.tolist(), itertools.repeat(phi),
-                           sw.psi.tolist(), sw.psi_hat.tolist(), itertools.repeat(seed))),
-            floored=int(sw.floored.sum()),
-        )
-        for seed, sw in zip(cfg.replicate_seeds(), reps)
-    )
-
-    # the nu..psi_hat columns of the rows as a (replicates, grid, 8) stack;
-    # each mean sums its replicates in seed order
+    # the nu..psi_hat columns as a (replicates, grid, 8) stack; each mean
+    # sums its replicates in seed order, and each row is a stack row + seed
     stack = np.empty((len(reps), reps[0].nu.size, 8))
     for block, sw in zip(stack, reps):
         for j, column in enumerate((sw.nu, sw.lss_raw, vn, sw.r_oracle, sw.r_plugin, phi,
                                     sw.psi, sw.psi_hat)):
             block[:, j] = column
+    records = tuple(
+        RunRecord(seed=seed, rows=tuple((*row, seed) for row in block.tolist()),
+                  floored=int(sw.floored.sum()))
+        for seed, block, sw in zip(cfg.replicate_seeds(), stack, reps)
+    )
     mean = _mean_skipping_nan(stack)
     mean_rows = tuple((nu, raw, vn, r_or, r_pl, phi, psi, psi_hat, -1)
                       for nu, raw, _, r_or, r_pl, _, psi, psi_hat in mean.tolist())
@@ -235,6 +228,7 @@ class ScalingResult:
 
 def scaling_geometry(M: int, alpha: float, c_target: float) -> tuple[int, int]:
     """Smallest even B with M/(B+1) <= c_target, and N = round(B^(1/alpha))."""
+    M = lss._check_positive_int(M, "M")
     alpha = lss.check_alpha(alpha)
     if isinstance(c_target, bool) or not isinstance(c_target, numbers.Real) \
             or not 0.0 < c_target < 1.0:
@@ -253,15 +247,13 @@ def scaling_study(M_list, alpha: float = 0.8, c_target: float = 0.5, theta: floa
 
     Every M's configuration is validated before the first replicate runs.
     """
-    if not isinstance(M_list, (list, tuple)) or not M_list or not all(
-            isinstance(M, numbers.Integral) and not isinstance(M, bool) for M in M_list):
+    if not isinstance(M_list, (list, tuple)) or not M_list:
         raise ConfigError(f"M_list must be a nonempty list of positive integers, got {M_list!r}")
-    M_list = [int(M) for M in M_list]
     configs = []
     for M in M_list:
         B, N = scaling_geometry(M, alpha, c_target)
         configs.append(ExperimentConfig(
-            N=N, B=B, M=M, theta=theta, alpha=alpha, L=L, f=f, correction_mode="oracle",
+            N=N, B=B, M=int(M), theta=theta, alpha=alpha, L=L, f=f, correction_mode="oracle",
             grid_stride=grid_stride, replicates=replicates, seed=seed, threads=threads))
     rows = []
     for cfg in configs:
@@ -296,7 +288,7 @@ def scaling_study(M_list, alpha: float = 0.8, c_target: float = 0.5, theta: floa
     }
     first = configs[0]
     config = {
-        "M_list": M_list, "alpha": float(alpha), "c_target": float(c_target),
+        "M_list": [cfg.M for cfg in configs], "alpha": float(alpha), "c_target": float(c_target),
         "theta": first.theta, "f": first.lss_config().f.label, "L": L,
         "grid_stride": grid_stride, "replicates": first.replicates, "seed": first.seed,
     }

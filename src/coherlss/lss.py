@@ -48,13 +48,10 @@ _DIAG_RANGE = (2.0 ** -400, 2.0 ** 400)
 _DEFAULT_GRID_SIZE = 512
 
 
-def _check_positive_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    value = int(value)
-    if value < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {value}")
-    return value
+def _check_positive_int(value, name: str, error=ConfigError) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise error(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def check_alpha(alpha) -> float:
@@ -223,10 +220,9 @@ def trace_functional(C, f) -> float:
 
 def v_n(B: int, N: int) -> float:
     """(1/(B+1)) sum_{b=-B/2}^{B/2} (b/N)^2, by direct summation."""
-    if B % 2 != 0 or B < 0:
-        raise InvalidArgumentError(f"B must be a nonnegative even integer, got {B}")
-    if N < 1:
-        raise InvalidArgumentError(f"N must be positive, got {N}")
+    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 0 or B % 2:
+        raise InvalidArgumentError(f"B must be a nonnegative even integer, got {B!r}")
+    N = _check_positive_int(N, "N", InvalidArgumentError)
     half = B // 2
     b = np.arange(-half, half + 1, dtype=float)
     return float(np.mean((b / N) ** 2))
@@ -234,8 +230,8 @@ def v_n(B: int, N: int) -> float:
 
 def u_n(B: int, N: int) -> float:
     """Convergence rate 1/B + sqrt(B)/N + (B/N)^3 of the corrected statistic."""
-    if B < 1 or N < 1:
-        raise InvalidArgumentError("B and N must be positive")
+    B = _check_positive_int(B, "B", InvalidArgumentError)
+    N = _check_positive_int(N, "N", InvalidArgumentError)
     return 1.0 / B + math.sqrt(B) / N + (B / N) ** 3
 
 
@@ -295,8 +291,7 @@ def phi_value(c: float, f) -> float:
 
 
 def assemble_psi(lss_raw, r_term, phi: float, vn: float, active: bool):
-    # single assembly point, scalar or elementwise, so psi is the same bits
-    # whichever entry point produced it
+    # elementwise over a sweep's frequencies; in the package only _sweep calls it
     return lss_raw - r_term * phi * vn * (1.0 if active else 0.0)
 
 
@@ -372,43 +367,9 @@ def _check_panel_matches(panel: TimeSeriesPanel, cfg: LssConfig):
         )
 
 
-def _records(cfg: LssConfig, nus: np.ndarray, raw: np.ndarray,
-             panel: TimeSeriesPanel) -> list[LssRecord]:
-    """LssRecords at nus, computing only the r that cfg.correction_mode needs."""
-    floored = np.zeros(len(nus), dtype=int)
-    if cfg.correction_mode == "none":
-        r = np.zeros(len(nus))
-    elif cfg.correction_mode == "oracle":
-        r = r_n_true(panel.model, cfg.M, nus)
-    else:
-        r, floored = r_hat_grid(panel, cfg.L, nus)
-    vn = v_n(cfg.B, cfg.N)
-    un = u_n(cfg.B, cfg.N)
-    phi = phi_value(cfg.c_N, cfg.f)
-    psi = assemble_psi(raw, r, phi, vn, cfg.correction_active)
-    return [
-        LssRecord(nu=nu_k, lss_raw=raw_k, v_n=vn, u_n=un, r_term=r_k, phi=phi, psi=psi_k,
-                  mode=cfg.correction_mode, floored=fl_k)
-        for nu_k, raw_k, r_k, psi_k, fl_k in zip(
-            nus.tolist(), raw.tolist(), r.tolist(), psi.tolist(), floored.tolist())
-    ]
-
-
-def psi_at(panel: TimeSeriesPanel, cfg: LssConfig, nu: float) -> LssRecord:
-    """Evaluate one frequency of a panel, with the same bits as that
-    frequency's record on any grid.
-
-    Oracle mode takes r from the panel's model; plugin mode estimates it
-    from the panel's data.
-    """
-    _check_panel_matches(panel, cfg)
-    nus = np.array([spectral._check_frequency(nu)])
-    return _records(cfg, nus, _raw_grid(panel, cfg, nus), panel)[0]
-
-
 class Sweep(NamedTuple):
-    """The whole grid of one panel, one array entry per frequency, with
-    both corrections: psi takes the oracle r and psi_hat the plug-in r,
+    """Every frequency of one evaluation, one array entry per frequency,
+    with both corrections: psi takes the oracle r and psi_hat the plug-in r,
     whatever the config's correction_mode.  v_n and phi are the scalars
     both share; floored counts r-hat's floored rows.  Unless the mode is
     plugin, r_plugin and psi_hat are NaN where every row's lag-window
@@ -425,10 +386,13 @@ class Sweep(NamedTuple):
     floored: np.ndarray
 
 
-def sweep_panel(panel: TimeSeriesPanel, cfg: LssConfig) -> Sweep:
-    """Evaluate the whole grid with shared DFT and lag-window tables."""
+def _sweep(panel: TimeSeriesPanel, cfg: LssConfig, nus: np.ndarray) -> Sweep:
+    """The Sweep of a panel at nus: the one place that forms r and psi.
+
+    Both r are formed in every mode; the plug-in one raises
+    DegenerateEstimateError only in plugin mode.
+    """
     _check_panel_matches(panel, cfg)
-    nus = cfg.grid_array
     raw = _raw_grid(panel, cfg, nus)
     r_oracle = r_n_true(panel.model, cfg.M, nus)
     r_plugin, floored = r_hat_grid(panel, cfg.L, nus, strict=cfg.correction_mode == "plugin")
@@ -442,11 +406,45 @@ def sweep_panel(panel: TimeSeriesPanel, cfg: LssConfig) -> Sweep:
     )
 
 
+def sweep_panel(panel: TimeSeriesPanel, cfg: LssConfig) -> Sweep:
+    """Evaluate the whole grid with shared DFT and lag-window tables."""
+    return _sweep(panel, cfg, cfg.grid_array)
+
+
+def _records(sweep: Sweep, cfg: LssConfig) -> list[LssRecord]:
+    """The sweep's LssRecords in cfg.correction_mode: the oracle r and psi,
+    the plug-in r, psi_hat and floored count, or (none) r = 0 and psi =
+    lss_raw, which is raw - 0 * phi * v_N exactly."""
+    n = len(sweep.nu)
+    if cfg.correction_mode == "oracle":
+        r, psi, floored = sweep.r_oracle.tolist(), sweep.psi.tolist(), [0] * n
+    elif cfg.correction_mode == "plugin":
+        r, psi, floored = sweep.r_plugin.tolist(), sweep.psi_hat.tolist(), sweep.floored.tolist()
+    else:
+        r, psi, floored = [0.0] * n, sweep.lss_raw.tolist(), [0] * n
+    un = u_n(cfg.B, cfg.N)
+    return [
+        LssRecord(nu=nu_k, lss_raw=raw_k, v_n=sweep.v_n, u_n=un, r_term=r_k, phi=sweep.phi,
+                  psi=psi_k, mode=cfg.correction_mode, floored=fl_k)
+        for nu_k, raw_k, r_k, psi_k, fl_k in zip(
+            sweep.nu.tolist(), sweep.lss_raw.tolist(), r, psi, floored)
+    ]
+
+
+def psi_at(panel: TimeSeriesPanel, cfg: LssConfig, nu: float) -> LssRecord:
+    """Evaluate one frequency of a panel, with the same bits as that
+    frequency's record on any grid.
+
+    A one-frequency Sweep, read in cfg.correction_mode: oracle takes r from
+    the panel's model, plugin estimates it from the panel's data.
+    """
+    return _records(_sweep(panel, cfg, np.array([spectral._check_frequency(nu)])), cfg)[0]
+
+
 def sup_over_grid(panel: TimeSeriesPanel, cfg: LssConfig) -> tuple[float, float, list[LssRecord]]:
-    """(max |psi| over the grid, its frequency, all records)."""
-    _check_panel_matches(panel, cfg)
-    nus = cfg.grid_array
-    raw = _raw_grid(panel, cfg, nus)
-    records = _records(cfg, nus, raw, panel)
-    best, best_nu = sup_abs(nus, [rec.psi for rec in records])
+    """(max |psi| over the records, its frequency, the records of the
+    grid's Sweep in cfg.correction_mode)."""
+    sweep = _sweep(panel, cfg, cfg.grid_array)
+    records = _records(sweep, cfg)
+    best, best_nu = sup_abs(sweep.nu, [rec.psi for rec in records])
     return best, best_nu, records

@@ -206,6 +206,14 @@ def test_scaling_geometry_examples():
         scaling_geometry(40, 0.8, 1.5)
 
 
+@pytest.mark.parametrize("M", [0, -5, True, 2.5, "8", None])
+def test_scaling_geometry_rejects_bad_sizes(M):
+    # M sizes the panel: a nonpositive, bool or non-integer M is a config
+    # error, not a geometry computed from it
+    with pytest.raises(ConfigError, match="M must be a positive integer"):
+        scaling_geometry(M, 0.8, 0.5)
+
+
 def test_scaling_study_small():
     res = scaling_study([8, 16], alpha=0.8, c_target=0.5, theta=0.4,
                         replicates=2, seed=3, grid_stride=16)

@@ -150,6 +150,21 @@ def test_u_n_values():
         u_n(0, 100)
 
 
+@pytest.mark.parametrize("B, N", [
+    (4, True), (4, 2.5), (4, 0.5), (4, 0), (True, 10), (4.0, 10), (-2, 10)])
+def test_v_n_needs_integer_sizes(B, N):
+    # a bool, a float or an out-of-range size is an error that says
+    # "integer", not a number formed from it
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        v_n(B, N)
+
+
+@pytest.mark.parametrize("B, N", [(True, 10), (10, True), (2.5, 10), (10, 0), ("10", 10)])
+def test_u_n_needs_integer_sizes(B, N):
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        u_n(B, N)
+
+
 def test_hermitian_eigenvalues_examples():
     np.testing.assert_allclose(hermitian_eigenvalues(np.eye(5)), np.ones(5))
     np.testing.assert_allclose(
@@ -271,7 +286,7 @@ def test_degenerate_lag_window_says_where():
     # a strong AR(1) with L=2: every row's density estimate is <= 0 on a
     # band of mid frequencies, so the plug-in r cannot be formed there, and
     # every plugin-mode entry point says so
-    from coherlss import ExperimentConfig, frequency_sweep, split_seed
+    from coherlss import ExperimentConfig, frequency_sweep, split_seed, sweep_panel
 
     cfg = ExperimentConfig(N=512, B=96, M=48, theta=0.9, grid_stride=4,
                            correction_mode="plugin")
@@ -289,11 +304,18 @@ def test_degenerate_lag_window_says_where():
     assert str(err.value) == message
     with pytest.raises(DegenerateEstimateError):
         psi_at(panel, lcfg, 0.2265625)
-    # oracle mode never estimates r, so the same panel still evaluates
-    lcfg = dataclasses.replace(lcfg, correction_mode="oracle")
-    best, _, records = sup_over_grid(panel, lcfg)
-    assert len(records) == 128 and math.isfinite(best)
-    assert psi_at(panel, lcfg, 0.3).mode == "oracle"
+    # outside plugin mode the plug-in r is formed but never strict, so the
+    # same panel still evaluates, and its records are the sweep's columns
+    for mode in ("oracle", "none"):
+        lcfg = dataclasses.replace(cfg.lss_config(), correction_mode=mode)
+        best, _, records = sup_over_grid(panel, lcfg)
+        assert len(records) == 128 and math.isfinite(best)
+        assert psi_at(panel, lcfg, 0.3).mode == mode
+        sweep = sweep_panel(panel, lcfg)
+        r_col, psi_col = ((sweep.r_oracle, sweep.psi) if mode == "oracle"
+                          else (np.zeros(128), sweep.lss_raw))
+        assert [rec.r_term for rec in records] == r_col.tolist()
+        assert [rec.psi for rec in records] == psi_col.tolist()
     # and outside plugin mode r-hat is NaN exactly where it cannot be formed
     r, floored = r_hat_grid(panel, 2, lcfg.grid_array, strict=False)
     assert np.count_nonzero(np.isnan(r)) == 43
@@ -414,7 +436,7 @@ def test_sup_over_grid_white_noise_scale():
     assert float(np.median(sups)) <= 5.0 * u_n(128, 1024)
 
 
-@pytest.mark.parametrize("mode", ["oracle", "plugin"])
+@pytest.mark.parametrize("mode", ["none", "oracle", "plugin"])
 def test_entry_points_agree_exactly(mode):
     # psi_at, sup_over_grid, sweep_panel and frequency_sweep share one
     # evaluation path, so they give the same bits at a grid frequency
@@ -427,17 +449,22 @@ def test_entry_points_agree_exactly(mode):
     sweep = sweep_panel(panel, lcfg)
     rows = frequency_sweep(cfg).records[0].rows
     _, _, records = sup_over_grid(panel, lcfg)
-    r_sweep, psi_sweep = ((sweep.r_oracle, sweep.psi) if mode == "oracle"
-                          else (sweep.r_plugin, sweep.psi_hat))
-    r_col, psi_col = (3, 6) if mode == "oracle" else (4, 7)
     assert len(records) == len(rows) == len(sweep.nu) == 32
     for k in (0, 5, 13, 21):
         nu = lcfg.grid[k]
         rec = records[k]
         assert rec.nu == sweep.nu[k] == rows[k][0] == nu
         assert rec.lss_raw == sweep.lss_raw[k] == rows[k][1]
-        assert rec.r_term == r_sweep[k] == rows[k][r_col]
-        assert rec.psi == psi_sweep[k] == rows[k][psi_col]
+        if mode == "none":
+            # no r in the record, and psi is the raw statistic itself
+            assert rec.r_term == 0.0
+            assert rec.psi == rec.lss_raw == sweep.lss_raw[k]
+        else:
+            r_sweep, psi_sweep = ((sweep.r_oracle, sweep.psi) if mode == "oracle"
+                                  else (sweep.r_plugin, sweep.psi_hat))
+            r_col, psi_col = (3, 6) if mode == "oracle" else (4, 7)
+            assert rec.r_term == r_sweep[k] == rows[k][r_col]
+            assert rec.psi == psi_sweep[k] == rows[k][psi_col]
         assert rec.v_n == sweep.v_n == rows[k][2] and rec.phi == sweep.phi == rows[k][5]
         assert psi_at(panel, lcfg, nu) == rec
 
