@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two argument checks
+that raise them: check_int and check_real decide, for every module, what
+counts as an integer and as a finite real number."""
+
+import math
+import numbers
 
 
 class CoherlssError(Exception):
@@ -38,3 +43,42 @@ class NumericalFailureError(CoherlssError, RuntimeError):
 
 class SingularPointError(NumericalFailureError):
     """A transform was evaluated at (numerically) a pole."""
+
+
+def check_int(value, name: str, error=InvalidArgumentError, low: int = 1, high: int | None = None,
+              even: bool = False) -> int:
+    """value as a Python int: an integer (numbers.Integral, numpy integers
+    included, bool never) in [low, high], no upper bound when high is None,
+    and even when asked. Anything else raises error, naming the argument."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Integral):
+        number = int(value)
+        if number >= low and (high is None or number <= high) and not (even and number % 2):
+            return number
+    kind = "even integer" if even else "integer"
+    if high is not None:
+        words = f"an {kind} in [{low}, {high}]"
+    elif low == 1:
+        words = f"a positive {kind}"
+    elif low == 0:
+        words = f"a nonnegative {kind}"
+    else:
+        words = f"an {kind} >= {low}"
+    raise error(f"{name} must be {words}, got {value!r}")
+
+
+def check_real(value, name: str, error=InvalidArgumentError,
+               interval: tuple[float, float] | None = None) -> float:
+    """value as a finite Python float: a real number (numbers.Real, numpy
+    scalars included, bool never), inside the open interval when one is
+    given. Anything else raises error, naming the argument. The value is
+    converted before it is compared, so no numpy float width warns."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if math.isfinite(number) and (interval is None or interval[0] < number < interval[1]):
+            return number
+    words = ("a finite real number" if interval is None
+             else f"a real number in ({interval[0]:g}, {interval[1]:g})")
+    raise error(f"{name} must be {words}, got {value!r}")

@@ -19,14 +19,13 @@ import dataclasses
 import functools
 import json
 import math
-import numbers
 import pathlib
 
 import numpy as np
 
 from . import lss, spectral
 from ._version import __version__
-from .errors import ConfigError, InvalidArgumentError
+from .errors import ConfigError, InvalidArgumentError, check_int, check_real
 from .lss import LssConfig
 from .rmt import MPModel
 from .signal import ModelSpec, _check_seed, autocovariance, simulate_panel, spectral_density
@@ -45,7 +44,7 @@ _U64 = 1 << 64
 
 def split_seed(master: int, index: int) -> int:
     """Child seed for replicate ``index``: splitmix64 finalizer on the jump."""
-    z = (int(master) + (int(index) + 1) * 0x9E3779B97F4A7C15) % _U64
+    z = (_check_seed(master) + (check_int(index, "index", low=0) + 1) * 0x9E3779B97F4A7C15) % _U64
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) % _U64
     z ^= z >> 27
@@ -90,16 +89,21 @@ class ExperimentConfig:
         # must all validate, and any rejection is a configuration problem
         try:
             for name in ("replicates", "threads"):
-                object.__setattr__(self, name, lss._check_positive_int(getattr(self, name), name))
+                object.__setattr__(self, name, check_int(getattr(self, name), name))
             object.__setattr__(self, "seed", _check_seed(self.seed))
             object.__setattr__(self, "theta", self.model().theta)
-            object.__setattr__(self, "_lss", LssConfig(
-                N=self.N, B=self.B, M=self.M, alpha=self.alpha, L=self.L, f=self.f,
-                correction_mode=self.correction_mode,
-                grid=lss.default_grid(self.N, self.grid_stride),
-            ))
+            lcfg = LssConfig(N=self.N, B=self.B, M=self.M, alpha=self.alpha, L=self.L, f=self.f,
+                             correction_mode=self.correction_mode,
+                             grid=lss.default_grid(self.N, self.grid_stride))
         except InvalidArgumentError as err:
             raise ConfigError(str(err)) from err
+        # every field holds the validated plain value; one left None stays None
+        object.__setattr__(self, "_lss", lcfg)
+        for name in ("N", "B", "M", "alpha", "L"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, getattr(lcfg, name))
+        if self.grid_stride is not None:
+            object.__setattr__(self, "grid_stride", lss.grid_stride(self.N, self.grid_stride))
 
     def model(self) -> ModelSpec:
         return ModelSpec("white_noise" if self.theta == 0.0 else "ar1", self.theta)
@@ -228,11 +232,9 @@ class ScalingResult:
 
 def scaling_geometry(M: int, alpha: float, c_target: float) -> tuple[int, int]:
     """Smallest even B with M/(B+1) <= c_target, and N = round(B^(1/alpha))."""
-    M = lss._check_positive_int(M, "M")
+    M = check_int(M, "M", ConfigError)
     alpha = lss.check_alpha(alpha)
-    if isinstance(c_target, bool) or not isinstance(c_target, numbers.Real) \
-            or not 0.0 < c_target < 1.0:
-        raise ConfigError(f"c_target must lie in (0, 1), got {c_target!r}")
+    c_target = check_real(c_target, "c_target", ConfigError, interval=(0.0, 1.0))
     B = max(2, math.ceil(M / c_target) - 1)
     if B % 2:
         B += 1
@@ -253,7 +255,7 @@ def scaling_study(M_list, alpha: float = 0.8, c_target: float = 0.5, theta: floa
     for M in M_list:
         B, N = scaling_geometry(M, alpha, c_target)
         configs.append(ExperimentConfig(
-            N=N, B=B, M=int(M), theta=theta, alpha=alpha, L=L, f=f, correction_mode="oracle",
+            N=N, B=B, M=M, theta=theta, alpha=alpha, L=L, f=f, correction_mode="oracle",
             grid_stride=grid_stride, replicates=replicates, seed=seed, threads=threads))
     rows = []
     for cfg in configs:
@@ -289,8 +291,8 @@ def scaling_study(M_list, alpha: float = 0.8, c_target: float = 0.5, theta: floa
     first = configs[0]
     config = {
         "M_list": [cfg.M for cfg in configs], "alpha": float(alpha), "c_target": float(c_target),
-        "theta": first.theta, "f": first.lss_config().f.label, "L": L,
-        "grid_stride": grid_stride, "replicates": first.replicates, "seed": first.seed,
+        "theta": first.theta, "f": first.lss_config().f.label, "L": first.L,
+        "grid_stride": first.grid_stride, "replicates": first.replicates, "seed": first.seed,
     }
     return ScalingResult(config=config, rows=tuple(rows), summary=summary)
 
@@ -330,9 +332,7 @@ def eigenvalue_localization_check(cfg: ExperimentConfig, epsilon: float = 0.5):
 
     Returns (passed, worst_excursion); failure is an outcome, not an error.
     """
-    if (isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real)
-            or not math.isfinite(epsilon) or epsilon <= 0):
-        raise InvalidArgumentError(f"epsilon must be a positive finite real, got {epsilon!r}")
+    epsilon = check_real(epsilon, "epsilon", interval=(0.0, math.inf))
     lcfg = cfg.lss_config()
     mp = MPModel(lcfg.c_N)
     one = functools.partial(_localization_worst, cfg.model(), lcfg,
@@ -409,15 +409,13 @@ def dft_covariance_check(model: ModelSpec, N_list, nu1: float, nu2: float):
     Uses the O(N) split over the autocovariance lag u (truncated where
     |r_u| < 1e-16); rows are (N, deviation, deviation * N).
     """
-    if not isinstance(N_list, (list, tuple)) or not N_list or not all(
-            isinstance(N, numbers.Integral) and not isinstance(N, bool) and N > 0
-            for N in N_list):
+    if not isinstance(N_list, (list, tuple)) or not N_list:
         raise InvalidArgumentError(
             f"N_list must be a nonempty list of positive integers, got {N_list!r}")
-    nu1, nu2 = spectral._check_frequency(nu1), spectral._check_frequency(nu2)
+    N_list = [check_int(N, f"N_list[{i}]") for i, N in enumerate(N_list)]
+    nu1, nu2 = check_real(nu1, "frequency"), check_real(nu2, "frequency")
     rows = []
     for N in N_list:
-        N = int(N)
         (k1, rho1), (k2, rho2) = spectral._split(nu1, N), spectral._split(nu2, N)
         if rho1 or rho2:
             raise InvalidArgumentError(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +32,8 @@ from .errors import (
     DomainError,
     InvalidArgumentError,
     NumericalFailureError,
+    check_int,
+    check_real,
 )
 from .rmt import MPModel, SpectralFunction, spectral_function
 from .signal import ModelSpec, TimeSeriesPanel, spectral_density, spectral_density_derivative
@@ -48,17 +49,9 @@ _DIAG_RANGE = (2.0 ** -400, 2.0 ** 400)
 _DEFAULT_GRID_SIZE = 512
 
 
-def _check_positive_int(value, name: str, error=ConfigError) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise error(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
 def check_alpha(alpha) -> float:
     """The growth exponent of B = N^alpha as a float in (1/2, 1)."""
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.5 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (1/2, 1), got {alpha!r}")
-    return float(alpha)
+    return check_real(alpha, "alpha", ConfigError, interval=(0.5, 1.0))
 
 
 def default_lag_window_size(N: int) -> int:
@@ -70,12 +63,12 @@ def grid_stride(N: int, stride: int | None = None) -> int:
     """The validated stride, by default the smallest keeping <= 512 points."""
     if stride is None:
         return max(1, math.ceil(N / _DEFAULT_GRID_SIZE))
-    return _check_positive_int(stride, "grid stride")
+    return check_int(stride, "grid stride", ConfigError)
 
 
 def default_grid(N: int, stride: int | None = None) -> tuple:
     """Fourier frequencies k*stride/N, stride keeping the grid at <= 512 points."""
-    N = _check_positive_int(N, "N")
+    N = check_int(N, "N", ConfigError)
     return tuple(float(k) / N for k in range(0, N, grid_stride(N, stride)))
 
 
@@ -98,21 +91,16 @@ class LssConfig:
     grid: tuple | None = None
 
     def __post_init__(self):
-        N = _check_positive_int(self.N, "N")
-        B = _check_positive_int(self.B, "B")
-        M = _check_positive_int(self.M, "M")
+        N = check_int(self.N, "N", ConfigError, low=2)
+        # B + 1 <= N: a window of more DFT columns would take one twice
+        B = check_int(self.B, "B", ConfigError, high=N - 1, even=True)
+        M = check_int(self.M, "M", ConfigError)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "M", M)
-        if B % 2 != 0:
-            raise ConfigError(f"B must be even, got {B}")
         c = M / (B + 1)
         if not 0.0 < c < 1.0:
             raise ConfigError(f"c_N = M/(B+1) must lie in (0, 1), got {c:.6g}")
-        if N < 2:
-            raise ConfigError("N must be at least 2")
-        if B + 1 > N:
-            raise ConfigError(f"the window of B+1={B + 1} DFT columns must not exceed N={N}")
 
         alpha = self.alpha
         if alpha is None:
@@ -122,10 +110,7 @@ class LssConfig:
         L = self.L
         if L is None:
             L = default_lag_window_size(N)
-        L = _check_positive_int(L, "L")
-        if L >= N:
-            raise ConfigError(f"L must satisfy 1 <= L < N, got L={L}, N={N}")
-        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "L", check_int(L, "L", ConfigError, high=N - 1))
 
         try:
             f = spectral_function(self.f)
@@ -143,7 +128,7 @@ class LssConfig:
             grid = default_grid(N)
         else:
             try:
-                grid = tuple(spectral._check_frequency(nu) for nu in grid)
+                grid = tuple(check_real(nu, "frequency") for nu in grid)
             except (InvalidArgumentError, TypeError) as exc:
                 raise ConfigError(f"grid must be a sequence of frequencies: {exc}") from exc
             if not grid:
@@ -220,18 +205,15 @@ def trace_functional(C, f) -> float:
 
 def v_n(B: int, N: int) -> float:
     """(1/(B+1)) sum_{b=-B/2}^{B/2} (b/N)^2, by direct summation."""
-    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 0 or B % 2:
-        raise InvalidArgumentError(f"B must be a nonnegative even integer, got {B!r}")
-    N = _check_positive_int(N, "N", InvalidArgumentError)
-    half = B // 2
+    half = check_int(B, "B", low=0, even=True) // 2
+    N = check_int(N, "N")
     b = np.arange(-half, half + 1, dtype=float)
     return float(np.mean((b / N) ** 2))
 
 
 def u_n(B: int, N: int) -> float:
     """Convergence rate 1/B + sqrt(B)/N + (B/N)^3 of the corrected statistic."""
-    B = _check_positive_int(B, "B", InvalidArgumentError)
-    N = _check_positive_int(N, "N", InvalidArgumentError)
+    B, N = check_int(B, "B"), check_int(N, "N")
     return 1.0 / B + math.sqrt(B) / N + (B / N) ** 3
 
 
@@ -438,7 +420,7 @@ def psi_at(panel: TimeSeriesPanel, cfg: LssConfig, nu: float) -> LssRecord:
     A one-frequency Sweep, read in cfg.correction_mode: oracle takes r from
     the panel's model, plugin estimates it from the panel's data.
     """
-    return _records(_sweep(panel, cfg, np.array([spectral._check_frequency(nu)])), cfg)[0]
+    return _records(_sweep(panel, cfg, np.array([check_real(nu, "frequency")])), cfg)[0]
 
 
 def sup_over_grid(panel: TimeSeriesPanel, cfg: LssConfig) -> tuple[float, float, list[LssRecord]]:

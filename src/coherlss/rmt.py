@@ -38,6 +38,7 @@ from .errors import (
     InvalidArgumentError,
     NumericalFailureError,
     SingularPointError,
+    check_real,
 )
 
 FUNCTION_KINDS = ("square_centered", "log", "polynomial", "callable")
@@ -62,10 +63,7 @@ class MPModel:
     c: float
 
     def __post_init__(self):
-        c = float(self.c)
-        if not 0.0 < c < 1.0:
-            raise InvalidArgumentError(f"c must lie in (0, 1), got {c}")
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", check_real(self.c, "c", interval=(0.0, 1.0)))
 
     @property
     def lambda_minus(self) -> float:

@@ -10,24 +10,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_int, check_real
 
 MODEL_KINDS = ("white_noise", "ar1")
 
-_SEED_MODULUS = 2**64
-
 
 def _check_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
-    if not 0 <= seed < _SEED_MODULUS:
-        raise InvalidArgumentError("seed must fit in an unsigned 64-bit integer")
-    return seed
+    """seed as an unsigned 64-bit Python int."""
+    return check_int(seed, "seed", low=0, high=2**64 - 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,14 +40,10 @@ class ModelSpec:
             raise InvalidArgumentError(
                 f"kind must be one of {MODEL_KINDS}, got {self.kind!r}"
             )
-        if isinstance(self.theta, bool) or not isinstance(self.theta, numbers.Real):
-            raise InvalidArgumentError(f"theta must be a real number, got {self.theta!r}")
-        theta = float(self.theta)
+        theta = check_real(self.theta, "theta", interval=(-1.0, 1.0))
         object.__setattr__(self, "theta", theta)
         if self.kind == "white_noise" and theta != 0.0:
             raise InvalidArgumentError("white_noise does not take a theta")
-        if abs(theta) >= 1.0:
-            raise InvalidArgumentError(f"|theta| < 1 required, got {theta}")
 
     @classmethod
     def white_noise(cls) -> "ModelSpec":
@@ -174,10 +163,7 @@ def simulate_panel(model: ModelSpec, M: int, N: int, seed: int) -> TimeSeriesPan
     (no burn-in), then y_n = theta y_{n-1} + eps_n with eps_n ~ N_C(0, 1).
     Deterministic given (model, M, N, seed); row m depends only on (seed, m).
     """
-    for name, size in (("M", M), ("N", N)):
-        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
-            raise InvalidArgumentError(f"{name} must be a positive integer, got {size!r}")
-    seed = _check_seed(seed)
+    M, N, seed = check_int(M, "M"), check_int(N, "N"), _check_seed(seed)
     data = np.empty((M, N), dtype=np.complex128)
     th = model.theta
     y0 = np.empty(M, dtype=np.complex128)

@@ -10,18 +10,22 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import numbers
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, InvalidArgumentError, NumericalFailureError
+from .errors import (
+    DegenerateSpectrumError,
+    InvalidArgumentError,
+    NumericalFailureError,
+    check_int,
+    check_real,
+)
 from .signal import TimeSeriesPanel, _read_only
 
 SPECTRAL_KINDS = ("smoothed_periodogram", "coherency")
 
 _HERM_RTOL = 1e-12
 _GRID_TOL = 1e-9
-_FLOAT_MAX = float(np.finfo(float).max)  # a Python float compares with any int exactly
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,6 +41,8 @@ class SpectralMatrix:
     kind: str
 
     def __post_init__(self):
+        object.__setattr__(self, "nu", check_real(self.nu, "nu"))
+        object.__setattr__(self, "B", check_int(self.B, "B", low=0, even=True))
         values = np.asarray(self.values, dtype=np.complex128)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise InvalidArgumentError(f"values must be square, got shape {values.shape}")
@@ -57,8 +63,6 @@ class SpectralMatrix:
             if np.max(np.abs(values)) > 1.0 + 1e-12:
                 raise InvalidArgumentError("coherency entries must satisfy |C_ij| <= 1")
         object.__setattr__(self, "values", _read_only(values))
-        object.__setattr__(self, "nu", float(self.nu))
-        object.__setattr__(self, "B", int(self.B))
 
     @property
     def M(self) -> int:
@@ -72,22 +76,6 @@ def _dft(data: np.ndarray) -> np.ndarray:
 def dft_grid(panel: TimeSeriesPanel) -> np.ndarray:
     """M x N table of xi at the Fourier frequencies k/N, via the FFT."""
     return _dft(panel.data)
-
-
-def _check_frequency(nu) -> float:
-    """nu as a float; anything but a finite real number (bool included) raises."""
-    if isinstance(nu, bool) or not isinstance(nu, numbers.Real) or not abs(nu) <= _FLOAT_MAX:
-        raise InvalidArgumentError(f"frequencies must be finite real numbers, got {nu!r}")
-    return float(nu)
-
-
-def _check_span(B: int, n: int) -> int:
-    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 0 or B % 2 != 0:
-        raise InvalidArgumentError(f"smoothing span B must be an even integer >= 0, got {B!r}")
-    if B + 1 > n:
-        # a longer window would take some DFT column twice
-        raise InvalidArgumentError(f"the window of B+1={B + 1} columns exceeds N={n}")
-    return int(B)
 
 
 def _gram(w: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
@@ -178,7 +166,8 @@ class _Windows:
 
     def __init__(self, panel: TimeSeriesPanel, B: int):
         self.panel = panel
-        self.B = _check_span(B, panel.N)
+        # B + 1 <= N: a longer window would take some DFT column twice
+        self.B = check_int(B, "smoothing span B", low=0, high=panel.N - 1, even=True)
         self.width = _block_width(self.B)
         self.rho, self.table = None, None  # rho/N of the held FFT table
         self.grams: dict[int, np.ndarray] = {}
@@ -251,7 +240,7 @@ def smoothed_periodogram(panel: TimeSeriesPanel, nu: float, B: int) -> SpectralM
     """Average of the B+1 <= N rank-one DFT outer products at nu + b/N
     (mod 1), b = -B/2..B/2, as a validated matrix: the kernel's S, window
     k of the table that _Windows builds for nu's grid offset rho."""
-    nu = _check_frequency(nu)
+    nu = check_real(nu, "frequency")
     return SpectralMatrix(values=_Windows(panel, B).periodogram(nu), nu=nu % 1.0, B=B,
                           kind="smoothed_periodogram")
 
@@ -268,8 +257,7 @@ def lag_covariances(data: np.ndarray, L: int) -> np.ndarray:
     if data.ndim == 1:
         data = data[None, :]
     m, n = data.shape
-    if not 0 <= L < n:
-        raise InvalidArgumentError(f"0 <= L < N required, got L={L}, N={n}")
+    L = check_int(L, "L", low=0, high=n - 1)
     out = np.empty((m, L + 1), dtype=np.complex128)
     conj = data.conj()
     for l in range(L + 1):

@@ -78,6 +78,16 @@ def test_alpha_boundary_rejected(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_non_finite_theta_rejected_with_the_config(tmp_path, capsys, theta):
+    # theta is validated with the rest of the config, by name, before any
+    # panel is simulated from it
+    code = run(["sweep", "--quick", f"--theta={theta}", "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "config error: theta must be" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_bad_threads_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COHERLSS_THREADS", "many")
     code = run(["sweep", "--quick", "--out-dir", str(tmp_path)])

@@ -1,15 +1,19 @@
 """Monte Carlo drivers, seed derivation, and artifact writers."""
 
+import ast
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
+import coherlss
 from coherlss import (
     ConfigError,
     ExperimentConfig,
     InvalidArgumentError,
+    LssConfig,
     ModelSpec,
     dft_covariance_check,
     eigenvalue_localization_check,
@@ -27,8 +31,10 @@ from coherlss.experiments import (
     scaling_geometry,
     write_table_csv,
     write_histogram_outputs,
+    write_scaling_outputs,
     write_sweep_outputs,
 )
+from coherlss.lss import u_n, v_n
 from coherlss.rmt import MPModel
 from coherlss.signal import simulate_panel
 
@@ -229,7 +235,8 @@ def test_scaling_study_small():
 
 @pytest.mark.parametrize("bad", [
     {"replicates": 0}, {"seed": -1}, {"threads": 0}, {"M_list": ["a"]}, {"M_list": [2.7]},
-    {"alpha": None}, {"c_target": "0.5"},
+    {"alpha": None}, {"c_target": "0.5"}, {"c_target": float("nan")}, {"theta": float("nan")},
+    {"grid_stride": True}, {"grid_stride": 2.5}, {"L": np.bool_(True)}, {"seed": "0"},
 ])
 def test_scaling_study_validates_its_config(bad):
     kwargs = dict(M_list=[8], replicates=1, grid_stride=16)
@@ -380,9 +387,9 @@ def test_dft_covariance_rejects_bad_lengths(N_list):
 
 @pytest.mark.parametrize("nu", [float("nan"), float("inf"), "0.25", None, True])
 def test_dft_covariance_rejects_bad_frequencies(nu):
-    with pytest.raises(InvalidArgumentError, match="frequencies"):
+    with pytest.raises(InvalidArgumentError, match="frequency"):
         dft_covariance_check(ModelSpec.ar1(0.4), [256], nu, 0.25)
-    with pytest.raises(InvalidArgumentError, match="frequencies"):
+    with pytest.raises(InvalidArgumentError, match="frequency"):
         dft_covariance_check(ModelSpec.ar1(0.4), [256], 0.25, nu)
 
 
@@ -450,3 +457,115 @@ def test_histogram_outputs(tmp_path):
     payload = json.loads(json_path.read_text())
     assert payload["artifact"] == "histogram_summary"
     assert set(payload["summary"]["quantiles"]) == {"sup_raw", "sup_psi", "sup_psi_hat"}
+
+
+# --- argument checks ----------------------------------------------------------
+
+
+def test_numpy_scalar_config_writes_the_same_artifacts(tmp_path):
+    # numpy scalars are stored as the Python values they hold, so every
+    # artifact made from them has the bytes of the Python-valued config's
+    plain = dict(N=512, B=96, M=48, L=3, grid_stride=4, theta=0.4, alpha=0.75,
+                 replicates=2, seed=7)
+    scalars = {**{k: np.int64(v) for k, v in plain.items() if type(v) is int},
+               "theta": np.float64(0.4), "alpha": np.float64(0.75)}
+    cfg = ExperimentConfig(**scalars)
+    assert cfg == ExperimentConfig(**plain)
+    snap = cfg.snapshot()
+    assert all(type(v) in (int, float, str) for v in snap.values()), snap
+    assert json.dumps(ExperimentConfig(N=np.int64(256), B=64, M=32).snapshot())
+    written = {}
+    for name, kwargs, stride in (("plain", plain, 16), ("numpy", scalars, np.int64(16))):
+        out = tmp_path / name
+        cfg = ExperimentConfig(**kwargs)
+        write_sweep_outputs(frequency_sweep(cfg), out)
+        write_histogram_outputs(histogram_study(cfg), out)
+        write_scaling_outputs(scaling_study([8], replicates=1, grid_stride=stride), out)
+        written[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(written["plain"]) == 6
+    assert written["numpy"] == written["plain"]
+
+
+_BAD_INTEGERS = [True, np.bool_(True), 2.5, "3", None, float("nan"), float("inf")]
+_BAD_REALS = [True, np.bool_(True), "3", None, float("nan"), float("inf"), 10 ** 400]
+# arguments for which None means "the default" rather than a bad value
+_NONE_IS_DEFAULT = {"ExperimentConfig L", "ExperimentConfig grid_stride",
+                    "ExperimentConfig alpha"}
+
+
+# argument -> (the CoherlssError subclass it raises, a call with the value)
+_INTEGER_ARGUMENTS = {
+    **{f"ExperimentConfig {key}": (ConfigError, lambda v, key=key: _quick_cfg(**{key: v}))
+       for key in ("N", "B", "M", "L", "grid_stride", "replicates", "seed", "threads")},
+    "LssConfig N": (ConfigError, lambda v: LssConfig(N=v, B=16, M=8)),
+    "simulate_panel M": (InvalidArgumentError,
+                         lambda v: simulate_panel(ModelSpec.white_noise(), v, 16, seed=0)),
+    "simulate_panel seed": (InvalidArgumentError,
+                            lambda v: simulate_panel(ModelSpec.white_noise(), 4, 16, seed=v)),
+    "smoothed_periodogram B": (InvalidArgumentError, lambda v: spectral.smoothed_periodogram(
+        simulate_panel(ModelSpec.ar1(0.4), 4, 16, seed=0), 0.25, v)),
+    "lag_covariances L": (InvalidArgumentError, lambda v: spectral.lag_covariances(np.ones(8), v)),
+    "SpectralMatrix B": (InvalidArgumentError,
+                         lambda v: spectral.SpectralMatrix(np.eye(2), 0.1, v, "coherency")),
+    "v_n B": (InvalidArgumentError, lambda v: v_n(v, 100)),
+    "u_n N": (InvalidArgumentError, lambda v: u_n(4, v)),
+    "split_seed master": (InvalidArgumentError, lambda v: split_seed(v, 0)),
+    "split_seed index": (InvalidArgumentError, lambda v: split_seed(0, v)),
+    "scaling_geometry M": (ConfigError, lambda v: scaling_geometry(v, 0.8, 0.5)),
+    "dft_covariance_check N_list": (
+        InvalidArgumentError, lambda v: dft_covariance_check(ModelSpec.ar1(0.4), [v], 0.25, 0.25)),
+}
+_REAL_ARGUMENTS = {
+    "ExperimentConfig theta": (ConfigError, lambda v: _quick_cfg(theta=v)),
+    "ExperimentConfig alpha": (ConfigError, lambda v: _quick_cfg(alpha=v)),
+    "ModelSpec theta": (InvalidArgumentError, lambda v: ModelSpec("ar1", v)),
+    "MPModel c": (InvalidArgumentError, MPModel),
+    "SpectralMatrix nu": (InvalidArgumentError,
+                          lambda v: spectral.SpectralMatrix(np.eye(2), v, 2, "coherency")),
+    "LssConfig grid": (ConfigError, lambda v: LssConfig(N=64, B=16, M=8, grid=(v,))),
+    "scaling_geometry c_target": (ConfigError, lambda v: scaling_geometry(40, 0.8, v)),
+    "eigenvalue_localization_check epsilon": (
+        InvalidArgumentError, lambda v: eigenvalue_localization_check(_quick_cfg(), epsilon=v)),
+    "dft_covariance_check nu2": (
+        InvalidArgumentError, lambda v: dft_covariance_check(ModelSpec.ar1(0.4), [256], 0.25, v)),
+}
+
+
+def _bad_argument_cases(arguments, values):
+    return [pytest.param(error, call, value, id=f"{name}-{value!r:.12}")
+            for name, (error, call) in arguments.items() for value in values
+            if not (value is None and name in _NONE_IS_DEFAULT)]
+
+
+@pytest.mark.parametrize("error, call, value", [
+    *_bad_argument_cases(_INTEGER_ARGUMENTS, _BAD_INTEGERS),
+    *_bad_argument_cases(_REAL_ARGUMENTS, _BAD_REALS),
+])
+def test_bad_arguments_raise_the_documented_error(error, call, value):
+    # a bool, a non-number, a non-integer where an integer is wanted and a
+    # non-finite or out-of-range real raise the documented CoherlssError,
+    # never a raw TypeError, ValueError or numpy RuntimeWarning
+    with pytest.raises(error):
+        call(value)
+
+
+def test_argument_checks_live_in_errors():
+    # what counts as an integer or a finite real is decided once, in
+    # errors.check_int and errors.check_real; only _format_cell, which
+    # validates nothing, asks isinstance about bool elsewhere
+    found = []
+    for path in sorted(pathlib.Path(coherlss.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "numbers"):
+                found.append(f"{path.name}: {ast.unparse(node)}")
+            if not isinstance(node, ast.FunctionDef) or node.name == "_format_cell":
+                continue
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"
+                        and len(call.args) == 2 and "bool" in ast.unparse(call.args[1])):
+                    found.append(f"{path.name}: {node.name}: {ast.unparse(call)}")
+    assert not found, found

@@ -523,9 +523,9 @@ def test_bad_frequency_is_invalid_argument(nu):
     # InvalidArgumentError rather than a raw ValueError, TypeError or
     # OverflowError, or a silent conversion
     panel = simulate_panel(ModelSpec.ar1(0.4), 8, 64, seed=1)
-    with pytest.raises(InvalidArgumentError, match="frequencies"):
+    with pytest.raises(InvalidArgumentError, match="frequency"):
         psi_at(panel, LssConfig(N=64, B=16, M=8), nu)
-    with pytest.raises(InvalidArgumentError, match="frequencies"):
+    with pytest.raises(InvalidArgumentError, match="frequency"):
         smoothed_periodogram(panel, nu, B=16)
 
 

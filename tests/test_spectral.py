@@ -18,6 +18,7 @@ from coherlss import (
     simulate_panel,
     smoothed_periodogram,
 )
+from coherlss.lss import LssConfig
 from coherlss.spectral import lag_covariances, lag_window_grid
 
 
@@ -286,6 +287,24 @@ def test_spectral_matrix_validation():
     not_finite[0, 1] = not_finite[1, 0] = np.nan
     with pytest.raises(InvalidArgumentError):
         SpectralMatrix(not_finite, 0.1, 2, "smoothed_periodogram")
+    # the tags are checked, not coerced: B = 2.5 is not stored as 2
+    for nu, B in ((None, 2), (float("nan"), 2), (float("inf"), 2), (True, 2), ("0.1", 2),
+                  (0.1, 2.5), (0.1, True), (0.1, 3), (0.1, -2), (0.1, None)):
+        with pytest.raises(InvalidArgumentError):
+            SpectralMatrix(good, nu, B, "coherency")
+    tagged = SpectralMatrix(good, np.float32(0.5), np.int64(2), "coherency")
+    assert (type(tagged.nu), type(tagged.B)) == (float, int)
+
+
+@pytest.mark.parametrize("width", [np.float16, np.float32, np.float64, np.longdouble])
+def test_numpy_float_frequencies_do_not_warn(width):
+    # a numpy float of any width is a frequency, taken as the Python float it
+    # holds; comparing it with the largest double must not overflow its type
+    panel = simulate_panel(ModelSpec.ar1(0.4), 4, 16, seed=0)
+    S = smoothed_periodogram(panel, width(0.25), 4)
+    assert S.nu == 0.25 and type(S.nu) is float
+    assert S.values.tobytes() == smoothed_periodogram(panel, 0.25, 4).values.tobytes()
+    assert LssConfig(N=64, B=16, M=8, grid=(width(0.25),)).grid == (0.25,)
 
 
 def test_biased_autocovariance_hand_values():
@@ -296,7 +315,8 @@ def test_biased_autocovariance_hand_values():
     assert _biased_autocovariance(y, 5) == 0.0
     assert lag_covariances(y, 1).tolist() == [[complex(np.mean(np.abs(y) ** 2)), 1.0j]]
     # negative lags follow by conjugation; lags beyond the series are rejected
-    for L in (-1, 2):
+    # so is a lag count that is not an integer: a bool is not L = 1
+    for L in (-1, 2, 1.0, True, np.bool_(True), None, "1"):
         with pytest.raises(InvalidArgumentError):
             lag_covariances(y, L)
 
