@@ -45,17 +45,20 @@ class SingularPointError(NumericalFailureError):
     """A transform was evaluated at (numerically) a pole."""
 
 
-def check_int(value, name: str, error=InvalidArgumentError, low: int = 1, high: int | None = None,
-              even: bool = False) -> int:
+def check_int(value, name: str, error=InvalidArgumentError, low: int | None = 1,
+              high: int | None = None, even: bool = False) -> int:
     """value as a Python int: an integer (numbers.Integral, numpy integers
-    included, bool never) in [low, high], no upper bound when high is None,
+    included, bool never) in [low, high], no bound where low or high is None,
     and even when asked. Anything else raises error, naming the argument."""
     if not isinstance(value, bool) and isinstance(value, numbers.Integral):
         number = int(value)
-        if number >= low and (high is None or number <= high) and not (even and number % 2):
+        if ((low is None or number >= low) and (high is None or number <= high)
+                and not (even and number % 2)):
             return number
     kind = "even integer" if even else "integer"
-    if high is not None:
+    if low is None:
+        words = f"an {kind}" if high is None else f"an {kind} <= {high}"
+    elif high is not None:
         words = f"an {kind} in [{low}, {high}]"
     elif low == 1:
         words = f"a positive {kind}"

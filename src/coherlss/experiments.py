@@ -106,7 +106,7 @@ class ExperimentConfig:
             object.__setattr__(self, "grid_stride", lss.grid_stride(self.N, self.grid_stride))
 
     def model(self) -> ModelSpec:
-        return ModelSpec("white_noise" if self.theta == 0.0 else "ar1", self.theta)
+        return ModelSpec(self.theta)
 
     def lss_config(self) -> LssConfig:
         """The statistic config validated on construction."""
@@ -180,6 +180,15 @@ class SweepResult:
     summary: dict
 
 
+@dataclasses.dataclass(frozen=True)
+class TableResult:
+    """A scaling or histogram study: its config echo, rows and summary."""
+
+    config: dict
+    rows: tuple
+    summary: dict
+
+
 def frequency_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Raw statistic and both corrections on the grid, per seed and averaged."""
     reps = _replicates(cfg)
@@ -223,13 +232,6 @@ def frequency_sweep(cfg: ExperimentConfig) -> SweepResult:
     return SweepResult(config=cfg.snapshot(), records=records, mean_rows=mean_rows, summary=summary)
 
 
-@dataclasses.dataclass(frozen=True)
-class ScalingResult:
-    config: dict
-    rows: tuple
-    summary: dict
-
-
 def scaling_geometry(M: int, alpha: float, c_target: float) -> tuple[int, int]:
     """Smallest even B with M/(B+1) <= c_target, and N = round(B^(1/alpha))."""
     M = check_int(M, "M", ConfigError)
@@ -244,7 +246,7 @@ def scaling_geometry(M: int, alpha: float, c_target: float) -> tuple[int, int]:
 
 def scaling_study(M_list, alpha: float = 0.8, c_target: float = 0.5, theta: float = 0.4,
                   f: str = "square_centered", L: int | None = None, replicates: int = 10,
-                  seed: int = 0, threads: int = 1, grid_stride: int | None = None) -> ScalingResult:
+                  seed: int = 0, threads: int = 1, grid_stride: int | None = None) -> TableResult:
     """Median sup statistics across M, with (N/B)^2 and (N/B)^3 rescalings.
 
     Every M's configuration is validated before the first replicate runs.
@@ -294,17 +296,10 @@ def scaling_study(M_list, alpha: float = 0.8, c_target: float = 0.5, theta: floa
         "theta": first.theta, "f": first.lss_config().f.label, "L": first.L,
         "grid_stride": first.grid_stride, "replicates": first.replicates, "seed": first.seed,
     }
-    return ScalingResult(config=config, rows=tuple(rows), summary=summary)
+    return TableResult(config=config, rows=tuple(rows), summary=summary)
 
 
-@dataclasses.dataclass(frozen=True)
-class HistogramResult:
-    config: dict
-    rows: tuple
-    summary: dict
-
-
-def histogram_study(cfg: ExperimentConfig) -> HistogramResult:
+def histogram_study(cfg: ExperimentConfig) -> TableResult:
     """Empirical distribution of the three sup statistics over the replicates."""
     sups = [_sups(sw) for sw in _replicates(cfg)]
     rows = tuple((i, seed) + sup for i, (seed, sup) in enumerate(zip(cfg.replicate_seeds(), sups)))
@@ -324,7 +319,7 @@ def histogram_study(cfg: ExperimentConfig) -> HistogramResult:
             "plugin_sup_within_2x": med_psi_hat <= 2.0 * med_psi,
         },
     }
-    return HistogramResult(config=cfg.snapshot(), rows=rows, summary=summary)
+    return TableResult(config=cfg.snapshot(), rows=rows, summary=summary)
 
 
 def eigenvalue_localization_check(cfg: ExperimentConfig, epsilon: float = 0.5):
@@ -438,33 +433,22 @@ def dft_covariance_check(model: ModelSpec, N_list, nu1: float, nu2: float):
     return rows
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-# _format_cell of a cell whose type is exactly float or int; bool, a
-# subclass of int, is looked up by its own type and so never lands here
+# the format of a cell by its exact type; a bool, a subclass of int, is
+# looked up by its own type and so is rejected like any other type
 _CELL_FORMATS = {float: float.__repr__, int: int.__repr__}
 
 
-def _metadata_lines(config: dict) -> list[str]:
-    return [f"# coherlss {__version__}",
-            "# config " + json.dumps(config, sort_keys=True)]
-
-
 def write_table_csv(path, header, rows, config: dict, extra_comments=()) -> None:
-    """CSV with a metadata comment block; floats use shortest round-trip repr."""
-    lines = _metadata_lines(config)
-    lines.extend(extra_comments)
-    lines.append(",".join(header))
-    cell_format = _CELL_FORMATS.get
-    lines.extend(",".join([cell_format(type(v), _format_cell)(v) for v in row]) for row in rows)
+    """CSV with a metadata comment block. Every cell is a Python float (in its
+    shortest round-trip repr) or int; any other raises InvalidArgumentError."""
+    lines = [f"# coherlss {__version__}", "# config " + json.dumps(config, sort_keys=True),
+             *extra_comments, ",".join(header)]
+    for row in rows:
+        try:
+            lines.append(",".join([_CELL_FORMATS[type(v)](v) for v in row]))
+        except KeyError:
+            cell = next(v for v in row if type(v) not in _CELL_FORMATS)
+            raise InvalidArgumentError(f"table cell {cell!r} is not a Python float or int") from None
     pathlib.Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -476,35 +460,27 @@ def write_summary_json(path, config: dict, summary: dict,
                                   encoding="utf-8")
 
 
+def _write_study(result, out_dir, name: str, header, rows,
+                 extra_comments=()) -> tuple[pathlib.Path, pathlib.Path]:
+    """Write a study's name.csv and name_summary.json into out_dir; return their paths."""
+    out = pathlib.Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    csv_path, json_path = out / f"{name}.csv", out / f"{name}_summary.json"
+    write_table_csv(csv_path, header, rows, result.config, extra_comments)
+    write_summary_json(json_path, result.config, result.summary, artifact=f"{name}_summary")
+    return csv_path, json_path
+
+
 def write_sweep_outputs(result: SweepResult, out_dir) -> tuple[pathlib.Path, pathlib.Path]:
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "sweep.csv"
-    rows = [row for rec in result.records for row in rec.rows]
-    rows.extend(result.mean_rows)
-    write_table_csv(csv_path, SWEEP_HEADER, rows, result.config,
-                    extra_comments=("# rows with seed=-1 are cross-seed means",))
-    json_path = out / "sweep_summary.json"
-    write_summary_json(json_path, result.config, result.summary, artifact="sweep_summary")
-    return csv_path, json_path
+    rows = [row for rec in result.records for row in rec.rows] + list(result.mean_rows)
+    return _write_study(result, out_dir, "sweep", SWEEP_HEADER, rows,
+                        ("# rows with seed=-1 are cross-seed means",))
 
 
-def write_scaling_outputs(result: ScalingResult, out_dir) -> tuple[pathlib.Path, pathlib.Path]:
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "scaling.csv"
-    rows = [[row[name] for name in SCALING_HEADER] for row in result.rows]
-    write_table_csv(csv_path, SCALING_HEADER, rows, result.config)
-    json_path = out / "scaling_summary.json"
-    write_summary_json(json_path, result.config, result.summary, artifact="scaling_summary")
-    return csv_path, json_path
+def write_scaling_outputs(result: TableResult, out_dir) -> tuple[pathlib.Path, pathlib.Path]:
+    return _write_study(result, out_dir, "scaling", SCALING_HEADER,
+                        [[row[name] for name in SCALING_HEADER] for row in result.rows])
 
 
-def write_histogram_outputs(result: HistogramResult, out_dir) -> tuple[pathlib.Path, pathlib.Path]:
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "histogram.csv"
-    write_table_csv(csv_path, HISTOGRAM_HEADER, result.rows, result.config)
-    json_path = out / "histogram_summary.json"
-    write_summary_json(json_path, result.config, result.summary, artifact="histogram_summary")
-    return csv_path, json_path
+def write_histogram_outputs(result: TableResult, out_dir) -> tuple[pathlib.Path, pathlib.Path]:
+    return _write_study(result, out_dir, "histogram", HISTOGRAM_HEADER, result.rows)

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError, check_int, check_real
 
-MODEL_KINDS = ("white_noise", "ar1")
-
 
 def _check_seed(seed) -> int:
     """seed as an unsigned 64-bit Python int."""
@@ -25,33 +23,25 @@ def _check_seed(seed) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class ModelSpec:
-    """Generating model of a panel row: unit white noise or AR(1).
+    """Generating model of a panel row: AR(1) with coefficient theta.
 
-    theta is the AR(1) coefficient (real, |theta| < 1).  theta = 0 reduces
-    ar1 to white_noise exactly, including the sample path for a given seed.
-    Complex theta is a possible extension but is not supported.
+    theta is real with |theta| < 1.  theta = 0 is unit white noise exactly,
+    including the sample path for a given seed.  Complex theta is a possible
+    extension but is not supported.
     """
 
-    kind: str
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise InvalidArgumentError(
-                f"kind must be one of {MODEL_KINDS}, got {self.kind!r}"
-            )
-        theta = check_real(self.theta, "theta", interval=(-1.0, 1.0))
-        object.__setattr__(self, "theta", theta)
-        if self.kind == "white_noise" and theta != 0.0:
-            raise InvalidArgumentError("white_noise does not take a theta")
+        object.__setattr__(self, "theta", check_real(self.theta, "theta", interval=(-1.0, 1.0)))
 
     @classmethod
     def white_noise(cls) -> "ModelSpec":
-        return cls("white_noise", 0.0)
+        return cls(0.0)
 
     @classmethod
     def ar1(cls, theta: float) -> "ModelSpec":
-        return cls("ar1", theta)
+        return cls(theta)
 
     @property
     def is_white(self) -> bool:
@@ -97,39 +87,51 @@ class TimeSeriesPanel:
         return self.data.shape[1]
 
 
+def _frequencies(nu) -> np.ndarray:
+    """nu as a float array: a scalar through check_real, an array only when
+    every entry is finite, so no NaN or inf reaches np.cos or np.sin."""
+    if not isinstance(nu, np.ndarray) and np.ndim(nu) == 0:
+        return np.asarray(check_real(nu, "frequency"))
+    nu_arr = np.asarray(nu, dtype=float)
+    if not np.isfinite(nu_arr).all():
+        raise InvalidArgumentError("every frequency must be a finite real number")
+    return nu_arr
+
+
 def spectral_density(model: ModelSpec, nu):
     """Spectral density s(nu) of the model, 1-periodic, strictly positive.
 
     For ar1 with coefficient theta: s(nu) = 1 / |1 - theta e^{-2 i pi nu}|^2.
-    Accepts scalars or arrays.
+    Accepts a finite real scalar or an array of them.
     """
-    nu_arr = np.asarray(nu, dtype=float)
+    nu_arr = _frequencies(nu)
     if model.is_white:
         out = np.ones_like(nu_arr)
     else:
         th = model.theta
         out = 1.0 / (1.0 - 2.0 * th * np.cos(2.0 * np.pi * nu_arr) + th * th)
-    return float(out) if np.isscalar(nu) or nu_arr.ndim == 0 else out
+    return float(out) if nu_arr.ndim == 0 else out
 
 
 def spectral_density_derivative(model: ModelSpec, nu):
     """Derivative ds/dnu; equals -4 pi theta sin(2 pi nu) * s(nu)^2 for ar1."""
-    nu_arr = np.asarray(nu, dtype=float)
+    nu_arr = _frequencies(nu)
     if model.is_white:
         out = np.zeros_like(nu_arr)
     else:
         th = model.theta
         den = 1.0 - 2.0 * th * np.cos(2.0 * np.pi * nu_arr) + th * th
         out = -4.0 * np.pi * th * np.sin(2.0 * np.pi * nu_arr) / (den * den)
-    return float(out) if np.isscalar(nu) or nu_arr.ndim == 0 else out
+    return float(out) if nu_arr.ndim == 0 else out
 
 
 def autocovariance(model: ModelSpec, u: int) -> float:
-    """Autocovariance r_u of the model; r_{-u} = conj(r_u) = r_u for real theta.
+    """Autocovariance r_u of the model at an integer lag u, negative lags
+    included: r_{-u} = conj(r_u) = r_u for real theta.
 
     ar1 closed form: r_u = theta^|u| / (1 - theta^2).
     """
-    u = int(u)
+    u = check_int(u, "lag", low=None)
     if model.is_white:
         return 1.0 if u == 0 else 0.0
     th = model.theta

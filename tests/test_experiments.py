@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -15,18 +16,20 @@ from coherlss import (
     InvalidArgumentError,
     LssConfig,
     ModelSpec,
+    autocovariance,
     dft_covariance_check,
     eigenvalue_localization_check,
     frequency_sweep,
     histogram_study,
     scaling_study,
     spectral,
+    spectral_density,
+    spectral_density_derivative,
     split_seed,
 )
 from coherlss.experiments import (
     HISTOGRAM_HEADER,
     SWEEP_HEADER,
-    _format_cell,
     _mean_skipping_nan,
     scaling_geometry,
     write_table_csv,
@@ -430,21 +433,24 @@ def test_sweep_csv_mean_rows_marked(tmp_path):
     assert sum(1 for row in data_rows if row.endswith(",-1")) == n_grid
 
 
-def test_table_cells_are_formatted_as_format_cell(tmp_path):
-    # exactly-float and exactly-int cells take a faster route than the other
-    # types; every cell must read as _format_cell writes it, and bool (an
-    # int subclass) must stay true/false
+def test_table_cells_are_python_floats_and_ints(tmp_path):
+    # a float cell is written as its shortest round-trip repr and an int
+    # cell as its repr
     cells = [0.1, -0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e300,
-             -7, 0, 2 ** 63, True, False, None, np.float64(0.1), np.float64(-0.0),
-             np.int64(-3), np.bool_(True), np.bool_(False)]
+             -7, 0, 2 ** 63]
     path = tmp_path / "cells.csv"
     write_table_csv(path, ("a", "b"), [cells, cells[::-1]], {"k": 1})
     body = path.read_text(encoding="utf-8").splitlines()[-2:]
-    assert body == [",".join(_format_cell(v) for v in row) for row in (cells, cells[::-1])]
-    assert body[0].split(",") == [
-        "0.1", "-0.0", "0.0", "nan", "inf", "-inf", "5e-324", "1e+300",
-        "-7", "0", "9223372036854775808", "true", "false", "", "0.1", "-0.0",
-        "-3", "true", "false"]
+    expected = ["0.1", "-0.0", "0.0", "nan", "inf", "-inf", "5e-324", "1e+300",
+                "-7", "0", "9223372036854775808"]
+    assert [row.split(",") for row in body] == [expected, expected[::-1]]
+    # any other cell, a bool (an int subclass) or a numpy scalar included,
+    # is rejected by name before the file is written
+    for bad in (True, None, np.float64(0.1), np.int64(-3), np.bool_(True)):
+        target = tmp_path / "rejected.csv"
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"table cell {bad!r} is not")):
+            write_table_csv(target, ("a", "b"), [[0.5, 1], [0.25, bad]], {"k": 1})
+        assert not target.exists()
 
 
 def test_histogram_outputs(tmp_path):
@@ -514,11 +520,12 @@ _INTEGER_ARGUMENTS = {
     "scaling_geometry M": (ConfigError, lambda v: scaling_geometry(v, 0.8, 0.5)),
     "dft_covariance_check N_list": (
         InvalidArgumentError, lambda v: dft_covariance_check(ModelSpec.ar1(0.4), [v], 0.25, 0.25)),
+    "autocovariance lag": (InvalidArgumentError, lambda v: autocovariance(ModelSpec.ar1(0.4), v)),
 }
 _REAL_ARGUMENTS = {
     "ExperimentConfig theta": (ConfigError, lambda v: _quick_cfg(theta=v)),
     "ExperimentConfig alpha": (ConfigError, lambda v: _quick_cfg(alpha=v)),
-    "ModelSpec theta": (InvalidArgumentError, lambda v: ModelSpec("ar1", v)),
+    "ModelSpec theta": (InvalidArgumentError, lambda v: ModelSpec.ar1(v)),
     "MPModel c": (InvalidArgumentError, MPModel),
     "SpectralMatrix nu": (InvalidArgumentError,
                           lambda v: spectral.SpectralMatrix(np.eye(2), v, 2, "coherency")),
@@ -528,6 +535,10 @@ _REAL_ARGUMENTS = {
         InvalidArgumentError, lambda v: eigenvalue_localization_check(_quick_cfg(), epsilon=v)),
     "dft_covariance_check nu2": (
         InvalidArgumentError, lambda v: dft_covariance_check(ModelSpec.ar1(0.4), [256], 0.25, v)),
+    "spectral_density frequency": (
+        InvalidArgumentError, lambda v: spectral_density(ModelSpec.ar1(0.4), v)),
+    "spectral_density_derivative frequency": (
+        InvalidArgumentError, lambda v: spectral_density_derivative(ModelSpec.ar1(0.4), v)),
 }
 
 
@@ -540,6 +551,10 @@ def _bad_argument_cases(arguments, values):
 @pytest.mark.parametrize("error, call, value", [
     *_bad_argument_cases(_INTEGER_ARGUMENTS, _BAD_INTEGERS),
     *_bad_argument_cases(_REAL_ARGUMENTS, _BAD_REALS),
+    *[pytest.param(InvalidArgumentError,
+                   lambda v, density=density: density(ModelSpec.ar1(0.4), np.array([0.1, v])),
+                   float("nan"), id=f"{density.__name__} frequency array-nan")
+      for density in (spectral_density, spectral_density_derivative)],
 ])
 def test_bad_arguments_raise_the_documented_error(error, call, value):
     # a bool, a non-number, a non-integer where an integer is wanted and a
@@ -551,8 +566,8 @@ def test_bad_arguments_raise_the_documented_error(error, call, value):
 
 def test_argument_checks_live_in_errors():
     # what counts as an integer or a finite real is decided once, in
-    # errors.check_int and errors.check_real; only _format_cell, which
-    # validates nothing, asks isinstance about bool elsewhere
+    # errors.check_int and errors.check_real; no other module asks
+    # isinstance about bool
     found = []
     for path in sorted(pathlib.Path(coherlss.__file__).parent.glob("*.py")):
         if path.name == "errors.py":
@@ -562,7 +577,7 @@ def test_argument_checks_live_in_errors():
             if (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
                     or isinstance(node, ast.ImportFrom) and node.module == "numbers"):
                 found.append(f"{path.name}: {ast.unparse(node)}")
-            if not isinstance(node, ast.FunctionDef) or node.name == "_format_cell":
+            if not isinstance(node, ast.FunctionDef):
                 continue
             for call in ast.walk(node):
                 if (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"

@@ -28,6 +28,7 @@ from coherlss import (
     simulate_panel,
     smoothed_periodogram,
     sup_over_grid,
+    sweep_panel,
     trace_functional,
     u_n,
     v_n,
@@ -676,6 +677,42 @@ def test_zero_row_is_a_degenerate_spectrum():
             psi_at(panel, cfg, nu)
     with pytest.raises(DegenerateSpectrumError):
         sweep_panel(panel, cfg)
+
+
+# --- exact finite-sample moments ----------------------------------------------
+
+
+def _harmonic(n):
+    return math.fsum(1.0 / k for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("f", ["square_centered", "log"])
+def test_white_noise_statistic_has_its_exact_moments(f):
+    # Under white noise the DFT is unitary, so the columns of disjoint
+    # windows are iid circular complex Gaussian and lss_raw has an exact
+    # mean. square_centered: |C_ij|^2 ~ Beta(1, B) off the diagonal, so the
+    # mean is -1/(B+1) and the variance 2(M-1)B / (M (B+1)^2 (B+2)). log:
+    # the complex Wishart log-determinant gives digamma sums, whose Euler
+    # gammas cancel into harmonic sums H. Its 23 windows (k = 5 + 11j, 11
+    # columns each) are disjoint, so the 23,000 values of the 1000 fixed
+    # seeds are iid; |z| < 4 fails a correct pipeline with probability 6e-5.
+    M, N, B = 8, 256, 10
+    # alpha = log B / log N = 0.42 would be rejected as below 1/2
+    cfg = LssConfig(N=N, B=B, M=M, alpha=0.75, f=f, correction_mode="none",
+                    grid=tuple((5 + 11 * j) / N for j in range(23)))
+    values = np.concatenate([
+        sweep_panel(simulate_panel(ModelSpec.white_noise(), M, N, seed), cfg).lss_raw
+        for seed in range(1000)])
+    if f == "square_centered":
+        mean = -1.0 / (B + 1)
+        variance = 2 * (M - 1) * B / (M * (B + 1) ** 2 * (B + 2))
+        assert abs(values.var(ddof=1) / variance - 1.0) < 0.04
+    else:
+        c = cfg.c_N
+        mean = (math.fsum(_harmonic(B - i) - _harmonic(B) for i in range(M)) / M
+                - ((c - 1.0) / c * math.log(1.0 - c) - 1.0))
+    z = (values.mean() - mean) / (values.std(ddof=1) / math.sqrt(values.size))
+    assert abs(z) < 4.0, z
 
 
 # --- properties ----------------------------------------------------------------

@@ -33,8 +33,6 @@ def test_model_validation():
     with pytest.raises(InvalidArgumentError):
         ModelSpec("garch")
     with pytest.raises(InvalidArgumentError):
-        ModelSpec("white_noise", theta=0.3)
-    with pytest.raises(InvalidArgumentError):
         ModelSpec.ar1(1.0)
     with pytest.raises(InvalidArgumentError):
         ModelSpec.ar1(-1.2)
@@ -91,6 +89,9 @@ def test_autocovariance_values():
     assert abs(autocovariance(model, 0) - 1.0 / 0.84) < 1e-15
     assert abs(autocovariance(model, 3) - 0.4 ** 3 / 0.84) < 1e-15
     assert autocovariance(model, -3) == autocovariance(model, 3)
+    # a negative lag, numpy integers included, reads r_|u|
+    assert autocovariance(model, np.int64(-3)) == autocovariance(model, 3)
+    assert autocovariance(white, -3) == 0.0 and autocovariance(white, np.int64(0)) == 1.0
 
 
 def test_simulate_panel_deterministic():
