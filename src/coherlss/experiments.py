@@ -356,11 +356,10 @@ def _localization_worst(model: ModelSpec, lcfg: LssConfig, lm: float, lp: float,
     leaves the running max, and with it the result, with the same bits as an
     eigensolve at every window.
     """
-    windows = spectral._Windows(simulate_panel(model, lcfg.M, lcfg.N, seed), lcfg.B)
     margin = 4.0 * (lcfg.M + 1) ** 2 * np.finfo(float).eps
     worst = 0.0
-    for nu in lcfg.grid:
-        c = spectral._normalize(windows.periodogram(nu))
+    for _, s in spectral._walk(simulate_panel(model, lcfg.M, lcfg.N, seed), lcfg.B, lcfg.grid):
+        c = spectral._normalize(s)
         delta = margin * (1.0 + lp + worst)
         if _certified_inside(c, lm - worst + delta, lp + worst - delta):
             continue

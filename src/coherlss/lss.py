@@ -313,21 +313,6 @@ def _raw_at(s: np.ndarray, f: SpectralFunction, mp_val: float) -> float:
     return raw
 
 
-def _raw_grid(panel: TimeSeriesPanel, cfg: LssConfig, nus: np.ndarray) -> np.ndarray:
-    """lss_raw at each frequency, each from its own window alone, so a
-    frequency gets the same bits on any grid and from psi_at.
-
-    Walked in a stable sort by grid offset rho/N and scattered back, so
-    _Windows builds one FFT table per distinct rho; a Fourier grid walks as is.
-    """
-    mp_val = mp_integral_value(cfg.c_N, cfg.f)
-    windows = spectral._Windows(panel, cfg.B)
-    order = np.argsort([spectral._split(nu, panel.N)[1] for nu in nus.tolist()], kind="stable")
-    raw = np.empty(len(nus))
-    raw[order] = [_raw_at(windows.periodogram(nu), cfg.f, mp_val) for nu in nus[order].tolist()]
-    return raw
-
-
 def sup_abs(nu: np.ndarray, values) -> tuple[float, float]:
     """(max |values|, its frequency), skipping NaN values, and (NaN, NaN)
     when every value is NaN; ties break to the smallest frequency, so the
@@ -355,7 +340,8 @@ class Sweep(NamedTuple):
     whatever the config's correction_mode.  v_n and phi are the scalars
     both share; floored counts r-hat's floored rows.  Unless the mode is
     plugin, r_plugin and psi_hat are NaN where every row's lag-window
-    density estimate is <= 0 (see r_hat_grid)."""
+    density estimate is <= 0 (see r_hat_grid).  Without corrections (none
+    mode in psi_at and sup_over_grid) both r, psi and psi_hat are NaN."""
 
     nu: np.ndarray
     lss_raw: np.ndarray
@@ -368,18 +354,27 @@ class Sweep(NamedTuple):
     floored: np.ndarray
 
 
-def _sweep(panel: TimeSeriesPanel, cfg: LssConfig, nus: np.ndarray) -> Sweep:
-    """The Sweep of a panel at nus: the one place that forms r and psi.
+def _sweep(panel: TimeSeriesPanel, cfg: LssConfig, nus: np.ndarray, corrections: bool = True) -> Sweep:
+    """The Sweep of a panel at nus, lss_raw filled in spectral._walk's
+    order: the one place that forms r and psi.
 
-    Both r are formed in every mode; the plug-in one raises
-    DegenerateEstimateError only in plugin mode.
+    With corrections, both r are formed in every mode; the plug-in one
+    raises DegenerateEstimateError only in plugin mode. Without, neither r
+    nor phi is formed (phi = math.nan), so phi need not resolve.
     """
     _check_panel_matches(panel, cfg)
-    raw = _raw_grid(panel, cfg, nus)
-    r_oracle = r_n_true(panel.model, cfg.M, nus)
-    r_plugin, floored = r_hat_grid(panel, cfg.L, nus, strict=cfg.correction_mode == "plugin")
+    mp_val = mp_integral_value(cfg.c_N, cfg.f)
+    raw = np.empty(len(nus))
+    for i, s in spectral._walk(panel, cfg.B, nus.tolist()):
+        raw[i] = _raw_at(s, cfg.f, mp_val)
+    if corrections:
+        r_oracle = r_n_true(panel.model, cfg.M, nus)
+        r_plugin, floored = r_hat_grid(panel, cfg.L, nus, strict=cfg.correction_mode == "plugin")
+        phi = phi_value(cfg.c_N, cfg.f)
+    else:
+        r_oracle = r_plugin = np.full(len(nus), math.nan)
+        floored, phi = np.zeros(len(nus), dtype=int), math.nan
     vn = v_n(cfg.B, cfg.N)
-    phi = phi_value(cfg.c_N, cfg.f)
     return Sweep(
         nu=nus, lss_raw=raw, v_n=vn, r_oracle=r_oracle, r_plugin=r_plugin, phi=phi,
         psi=assemble_psi(raw, r_oracle, phi, vn, cfg.correction_active),
@@ -393,10 +388,11 @@ def sweep_panel(panel: TimeSeriesPanel, cfg: LssConfig) -> Sweep:
     return _sweep(panel, cfg, cfg.grid_array)
 
 
-def _records(sweep: Sweep, cfg: LssConfig) -> list[LssRecord]:
-    """The sweep's LssRecords in cfg.correction_mode: the oracle r and psi,
-    the plug-in r, psi_hat and floored count, or (none) r = 0 and psi =
-    lss_raw, which is raw - 0 * phi * v_N exactly."""
+def _records(panel: TimeSeriesPanel, cfg: LssConfig, nus: np.ndarray) -> list[LssRecord]:
+    """The LssRecords of a panel at nus in cfg.correction_mode: the oracle r
+    and psi, the plug-in r, psi_hat and floored count, or (none, from a
+    Sweep without corrections) r = 0, psi = lss_raw and phi = math.nan."""
+    sweep = _sweep(panel, cfg, nus, cfg.correction_mode != "none")
     n = len(sweep.nu)
     if cfg.correction_mode == "oracle":
         r, psi, floored = sweep.r_oracle.tolist(), sweep.psi.tolist(), [0] * n
@@ -418,15 +414,15 @@ def psi_at(panel: TimeSeriesPanel, cfg: LssConfig, nu: float) -> LssRecord:
     frequency's record on any grid.
 
     A one-frequency Sweep, read in cfg.correction_mode: oracle takes r from
-    the panel's model, plugin estimates it from the panel's data.
+    the panel's model, plugin estimates it from the panel's data, and none
+    forms neither r nor phi.
     """
-    return _records(_sweep(panel, cfg, np.array([check_real(nu, "frequency")])), cfg)[0]
+    return _records(panel, cfg, np.array([check_real(nu, "frequency")]))[0]
 
 
 def sup_over_grid(panel: TimeSeriesPanel, cfg: LssConfig) -> tuple[float, float, list[LssRecord]]:
     """(max |psi| over the records, its frequency, the records of the
-    grid's Sweep in cfg.correction_mode)."""
-    sweep = _sweep(panel, cfg, cfg.grid_array)
-    records = _records(sweep, cfg)
-    best, best_nu = sup_abs(sweep.nu, [rec.psi for rec in records])
+    grid's Sweep in cfg.correction_mode, formed as psi_at forms one)."""
+    records = _records(panel, cfg, cfg.grid_array)
+    best, best_nu = sup_abs(cfg.grid_array, [rec.psi for rec in records])
     return best, best_nu, records

@@ -173,11 +173,14 @@ def simulate_panel(model: ModelSpec, M: int, N: int, seed: int) -> TimeSeriesPan
     # Philox per row costs several times more than the reset
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
+    # each normal pair is the (re, im) of an N_C(0, 1) draw, scaled once below
+    parts = data.view(np.float64)
     for m in range(M):
         _row_stream(bit_generator, seed, m)
         if not model.is_white:
             y0[m] = _complex_normal(rng, 1, 1.0 / (1.0 - th * th))[0]
-        data[m] = _complex_normal(rng, N, 1.0)
+        rng.standard_normal(out=parts[m])
+    parts *= math.sqrt(0.5)
     if not model.is_white:
         # y_n = eps_n + theta y_{n-1}, one time step at a time across all
         # rows, in place over the innovations: no second panel-sized buffer

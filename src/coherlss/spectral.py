@@ -134,12 +134,15 @@ def _split(nu: float, n: int) -> tuple[int, float]:
     return k % n, r / (q * n)
 
 
-class _Windows:
-    """Smoothed periodograms S = W W^H / (B+1) of one panel at span B.
+def _walk(panel: TimeSeriesPanel, B: int, nus):
+    """Yield (i, S) for every frequency nus[i] of a sequence of floats:
+    S = W W^H / (B+1) at span B, a new array, Hermitian to rounding.
 
-    With nu N = k + rho (_split), S at nu is window k of the FFT table of
-    the panel modulated by e^{-2 i pi n rho/N}, whose column k + b is xi at
-    nu + b/N; at rho = 0 it is dft_grid. A window's columns are cut at the
+    With nu N = k + rho (_split, once per frequency), S at nu is window k of
+    the FFT table of the panel modulated by e^{-2 i pi n rho/N}, whose column
+    k + b is xi at nu + b/N; at rho = 0 it is dft_grid. The walk visits the
+    frequencies in a stable sort by rho, so it builds one table per distinct
+    rho; a Fourier grid walks as given. A window's columns are cut at the
     multiples of the block width beta = max(1, (B+1)//8) of the column index
     k, and at N where the window wraps. A block the window covers more than
     half of (a whole block, or a long ragged end) enters through the block's
@@ -156,47 +159,39 @@ class _Windows:
     W W^H / (B+1), S differs at the ulp level (a relative error of at most
     6.6e-16 in the Frobenius norm on the configs of the block-sum test).
 
-    One table is held at a time, keyed by rho/N, and rebuilt with its Grams
-    only when a frequency's rho/N differs from the held one. A block's Gram
-    is kept while the next window still needs it: after each window only
-    that window's Grams are held, at most ceil((B+1)/beta) + 1 of them,
+    One table is held at a time, with its Grams. A block's Gram is kept
+    while the next window still needs it: after each window only that
+    window's Grams are held in grams, at most ceil((B+1)/beta) + 1 of them,
     together with G, which is summed again only when the window's tuple of
     block starts changes.
     """
-
-    def __init__(self, panel: TimeSeriesPanel, B: int):
-        self.panel = panel
-        # B + 1 <= N: a longer window would take some DFT column twice
-        self.B = check_int(B, "smoothing span B", low=0, high=panel.N - 1, even=True)
-        self.width = _block_width(self.B)
-        self.rho, self.table = None, None  # rho/N of the held FFT table
-        self.grams: dict[int, np.ndarray] = {}
-        self.block_sum: tuple[tuple, np.ndarray | None] = ((), None)
-
-    def periodogram(self, nu: float) -> np.ndarray:
-        """S at nu as a new array, Hermitian to rounding."""
-        n, width = self.panel.N, self.width
-        k, rho = _split(nu, n)
-        if rho != self.rho:
-            self.table, self.grams, self.block_sum = None, {}, ((), None)  # one table at a time
-            self.table = (_dft(self.panel.data * np.exp(-2j * np.pi * (np.arange(n) * rho)))
-                          if rho else dft_grid(self.panel))
-            self.rho = rho
-        key, columns, coef = _window_cut(k, self.B, n)
-        if key != self.block_sum[0]:
+    n = panel.N
+    # B + 1 <= N: a longer window would take some DFT column twice
+    B = check_int(B, "smoothing span B", low=0, high=n - 1, even=True)
+    width = _block_width(B)
+    splits = [_split(nu, n) for nu in nus]
+    held_rho = None
+    for i in sorted(range(len(splits)), key=lambda j: splits[j][1]):
+        k, rho = splits[i]
+        if rho != held_rho:
+            table, total, grams, held_key = None, None, {}, None  # one table at a time
+            table = (_dft(panel.data * np.exp(-2j * np.pi * (np.arange(n) * rho)))
+                     if rho else dft_grid(panel))
+            held_rho = rho
+        key, columns, coef = _window_cut(k, B, n)
+        if key != held_key:
             held = {}
             for lo in key:
-                g = self.grams.get(lo)
-                held[lo] = _gram(self.table[:, lo:min(n, lo + width)]) if g is None else g
+                g = grams.get(lo)
+                held[lo] = _gram(table[:, lo:min(n, lo + width)]) if g is None else g
             # a held Gram must not be summed into
             total = held[key[0]].copy() if len(key) == 1 else np.add(held[key[0]], held[key[1]])
             for lo in key[2:]:
                 total += held[lo]
-            total *= 1.0 / (self.B + 1)
-            self.grams, self.block_sum = held, (key, total)
-        total = self.block_sum[1]
+            total *= 1.0 / (B + 1)
+            grams, held_key = held, key
         if columns.size:
-            s = _gram(self.table.take(columns, axis=1), coef)
+            s = _gram(table.take(columns, axis=1), coef)
             s += total
         else:
             s = total.copy()
@@ -204,9 +199,9 @@ class _Windows:
         # finite diagonal bounds every entry (|S_ij|^2 <= S_ii S_jj)
         if not np.isfinite(s.diagonal()).all():
             raise NumericalFailureError(
-                f"non-finite smoothed periodogram at nu={nu}; the panel data holds NaN or inf"
+                f"non-finite smoothed periodogram at nu={nus[i]}; the panel data holds NaN or inf"
             )
-        return s
+        yield i, s
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
@@ -238,10 +233,10 @@ def _normalize(s: np.ndarray) -> np.ndarray:
 
 def smoothed_periodogram(panel: TimeSeriesPanel, nu: float, B: int) -> SpectralMatrix:
     """Average of the B+1 <= N rank-one DFT outer products at nu + b/N
-    (mod 1), b = -B/2..B/2, as a validated matrix: the kernel's S, window
-    k of the table that _Windows builds for nu's grid offset rho."""
+    (mod 1), b = -B/2..B/2, as a validated matrix: the S of a one-frequency
+    _walk, with the bits of nu's S on any grid."""
     nu = check_real(nu, "frequency")
-    return SpectralMatrix(values=_Windows(panel, B).periodogram(nu), nu=nu % 1.0, B=B,
+    return SpectralMatrix(values=next(_walk(panel, B, [nu]))[1], nu=nu % 1.0, B=B,
                           kind="smoothed_periodogram")
 
 

@@ -304,9 +304,9 @@ def _excursions_by_eigvalsh(cfg):
     mp = MPModel(lcfg.c_N)
     below = above = -np.inf
     for seed in cfg.replicate_seeds():
-        windows = spectral._Windows(simulate_panel(cfg.model(), cfg.M, cfg.N, seed), cfg.B)
-        for nu in lcfg.grid:
-            eigs = np.linalg.eigvalsh(spectral._normalize(windows.periodogram(nu)))
+        panel = simulate_panel(cfg.model(), cfg.M, cfg.N, seed)
+        for _, s in spectral._walk(panel, cfg.B, lcfg.grid):
+            eigs = np.linalg.eigvalsh(spectral._normalize(s))
             below = max(below, mp.lambda_minus - float(eigs[0]))
             above = max(above, float(eigs[-1]) - mp.lambda_plus)
     return below, above

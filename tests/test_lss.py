@@ -33,7 +33,7 @@ from coherlss import (
     u_n,
     v_n,
 )
-from coherlss.lss import _raw_grid, r_hat_grid
+from coherlss.lss import r_hat_grid
 
 
 # --- public API ----------------------------------------------------------------
@@ -457,8 +457,8 @@ def test_entry_points_agree_exactly(mode):
         assert rec.nu == sweep.nu[k] == rows[k][0] == nu
         assert rec.lss_raw == sweep.lss_raw[k] == rows[k][1]
         if mode == "none":
-            # no r in the record, and psi is the raw statistic itself
-            assert rec.r_term == 0.0
+            # no r and no phi in the record, and psi is the raw statistic itself
+            assert rec.r_term == 0.0 and math.isnan(rec.phi)
             assert rec.psi == rec.lss_raw == sweep.lss_raw[k]
         else:
             r_sweep, psi_sweep = ((sweep.r_oracle, sweep.psi) if mode == "oracle"
@@ -466,8 +466,23 @@ def test_entry_points_agree_exactly(mode):
             r_col, psi_col = (3, 6) if mode == "oracle" else (4, 7)
             assert rec.r_term == r_sweep[k] == rows[k][r_col]
             assert rec.psi == psi_sweep[k] == rows[k][psi_col]
-        assert rec.v_n == sweep.v_n == rows[k][2] and rec.phi == sweep.phi == rows[k][5]
+            assert rec.phi == sweep.phi
+        assert rec.v_n == sweep.v_n == rows[k][2] and sweep.phi == rows[k][5]
         assert psi_at(panel, lcfg, nu) == rec
+
+
+def test_none_mode_records_need_no_phi():
+    # a none record is lss_raw alone, so psi_at and sup_over_grid return it
+    # for log at c_N = 6/7, where the contour action of phi is under-resolved
+    panel = simulate_panel(ModelSpec.ar1(0.4), 6, 96, 0)
+    cfg = LssConfig(N=96, B=6, M=6, alpha=0.75, f="log", correction_mode="none")
+    rec = psi_at(panel, cfg, 0.25)
+    assert rec.r_term == 0.0 and rec.psi == rec.lss_raw and math.isnan(rec.phi)
+    best, _, records = sup_over_grid(panel, cfg)
+    assert len(records) == 96 and records[24] == rec
+    assert best == max(abs(r.psi) for r in records)
+    with pytest.raises(NumericalFailureError, match="under-resolved"):
+        psi_at(panel, dataclasses.replace(cfg, correction_mode="oracle"), 0.25)
 
 
 # the quarter lattice (k + j/4)/512 in k-major order, then a grid point:
@@ -493,8 +508,8 @@ def test_mixed_grid_matches_psi_at_exactly(mode, grid):
 
 
 def test_grid_walk_builds_one_table_per_grid_offset(monkeypatch):
-    # _raw_grid walks the frequencies one grid offset rho at a time, so the
-    # interleaved lattice builds four FFT tables, one per distinct rho and
+    # spectral._walk visits the frequencies one grid offset rho at a time, so
+    # the interleaved lattice builds four FFT tables, one per distinct rho and
     # the rho = 0 one through dft_grid, and every value is psi_at's
     from coherlss import spectral
 
@@ -508,7 +523,7 @@ def test_grid_walk_builds_one_table_per_grid_offset(monkeypatch):
 
     for name in ("_dft", "dft_grid"):
         monkeypatch.setattr(spectral, name, counted(name))
-    raw = _raw_grid(panel, cfg, cfg.grid_array)
+    raw = sweep_panel(panel, cfg).lss_raw
     assert len({spectral._split(nu, 512)[1] for nu in _INTERLEAVED}) == 4
     assert calls.count("_dft") == 4 and calls.count("dft_grid") == 1
     monkeypatch.undo()
@@ -538,12 +553,13 @@ def test_public_matrices_carry_the_kernel_bits():
 
     model = ModelSpec.ar1(0.4)
     panel = simulate_panel(model, 48, 512, seed=4)
+    nus = (0.25, 0.1234567)
     for f in ("square_centered", "log"):
         cfg = LssConfig(N=512, B=96, M=48, f=f, correction_mode="oracle")
-        for nu in (0.25, 0.1234567):
+        walked = dict(spectral._walk(panel, 96, nus))
+        for i, nu in enumerate(nus):
             C = coherency_matrix(smoothed_periodogram(panel, nu, B=96))
-            windows = spectral._Windows(panel, 96)
-            assert np.array_equal(C.values, spectral._normalize(windows.periodogram(nu)))
+            assert np.array_equal(C.values, spectral._normalize(walked[i]))
             S = np.array(smoothed_periodogram(panel, nu, B=96).values)
             raw = _raw_at(S, cfg.f, mp_integral_value(cfg.c_N, cfg.f))
             assert raw == psi_at(panel, cfg, nu).lss_raw
@@ -563,14 +579,16 @@ def test_block_walk_is_grid_independent_and_bounded(f, monkeypatch):
     N, B, M = 512, 96, 48
     beta = spectral._block_width(B)
     held = []
-    walk = spectral._Windows.periodogram
+    walk = spectral._walk
 
-    def counting(self, nu):
-        s = walk(self, nu)
-        held.append(len(self.grams))
-        return s
+    def counting(panel, B, nus):
+        # the Grams the suspended walk holds after each window
+        windows = walk(panel, B, nus)
+        for item in windows:
+            held.append(len(windows.gi_frame.f_locals["grams"]))
+            yield item
 
-    monkeypatch.setattr(spectral._Windows, "periodogram", counting)
+    monkeypatch.setattr(spectral, "_walk", counting)
     panel = simulate_panel(ModelSpec.ar1(0.4), M, N, seed=21)
     full = LssConfig(N=N, B=B, M=M, f=f, correction_mode="none", grid=default_grid(N, 1))
     by_nu = dict(zip(full.grid, sweep_panel(panel, full).lss_raw.tolist()))
@@ -777,11 +795,10 @@ def test_statistic_row_permutation_and_scale_invariance(window, f, seed):
     perm = rng.permutation(panel.M)
     scales = np.exp(rng.uniform(-3.0, 3.0, panel.M))
     moved = TimeSeriesPanel(panel.data[perm] * scales[:, None], panel.model, panel.seed)
-    # lss_raw as psi_at computes it, without phi, which log does not resolve
-    # near c = 1 (see test_log_action_fails_loudly_at_c_0_9)
-    nus = np.array([nu])
-    assert _raw_grid(moved, cfg, nus)[0] == pytest.approx(_raw_grid(panel, cfg, nus)[0],
-                                                          abs=1e-10)
+    # none mode forms no phi, which log does not resolve near c = 1 (see
+    # test_log_action_fails_loudly_at_c_0_9)
+    assert psi_at(moved, cfg, nu).lss_raw == pytest.approx(psi_at(panel, cfg, nu).lss_raw,
+                                                           abs=1e-10)
 
 
 @_PROPERTY_SETTINGS

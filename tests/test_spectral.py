@@ -156,15 +156,15 @@ def test_block_sum_matches_direct_window(N, B):
     # same at the wider block of (B+1)//4 and still take every one of these
     # cuts at beta = 12, 16 and 32. The cut of a window, cached for every
     # panel, is read-only.
-    from coherlss.spectral import _window_cut, _Windows
+    from coherlss.spectral import _walk, _window_cut
 
     panel = simulate_panel(ModelSpec.ar1(0.4), 5, N, seed=N + B)
     table = dft_grid(panel)
-    windows = _Windows(panel, B)
     ks = [0, 1, N - 1] + list(range(2, N - 1, 3)) + [N - 2, 0]
-    for k in ks:
+    for i, walked in _walk(panel, B, [k / N for k in ks]):
+        k = ks[i]
         expected = _direct_periodogram(table, k, B)
-        for got in (windows.periodogram(k / N), smoothed_periodogram(panel, k / N, B).values):
+        for got in (walked, smoothed_periodogram(panel, k / N, B).values):
             assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
         _, columns, coef = _window_cut(k, B, N)
         assert not columns.flags.writeable and not coef.flags.writeable
@@ -192,11 +192,11 @@ def test_grid_walk_ragged_products_are_short(stride, monkeypatch):
         return gram(w, coef)
 
     monkeypatch.setattr(spectral, "_gram", recording)
-    windows = spectral._Windows(panel, B)
+    walk = spectral._walk(panel, B, [k / N for k in range(0, N, stride)])
     with_ragged = 0
     for k in range(0, N, stride):
         products.clear()
-        windows.periodogram(k / N)
+        next(walk)
         ragged = [cols for cols in products
                   if cols != list(range(cols[0] - cols[0] % beta, min(N, cols[0] + beta)))]
         assert len(ragged) <= 1
@@ -208,6 +208,29 @@ def test_grid_walk_ragged_products_are_short(stride, monkeypatch):
             assert max(len(run) for run in runs) <= beta // 2, (k, [len(r) for r in runs])
     # the ragged products pass through _gram, so the bounds above hold for them
     assert with_ragged > 0
+
+
+def test_walk_orders_by_grid_offset_and_keeps_every_bit():
+    # on a shuffled interleaved lattice the walk yields every index once, the
+    # grid offsets rho in ascending groups and the given order within a
+    # group, and each S is the one a walk of that frequency alone yields
+    from coherlss.spectral import _split, _walk
+
+    N, B = 256, 32
+    panel = simulate_panel(ModelSpec.ar1(0.4), 6, N, seed=7)
+    nus = [(k + j / 4) / N for k in range(40, 60) for j in range(4)] + [0.1234567]
+    np.random.default_rng(5).shuffle(nus)
+    walked = list(_walk(panel, B, nus))
+    order = [i for i, _ in walked]
+    assert sorted(order) == list(range(len(nus)))
+    rhos = [_split(nus[i], N)[1] for i in order]
+    assert len(set(rhos)) == 5 and rhos == sorted(rhos)
+    for rho in set(rhos):
+        group = [i for i in order if _split(nus[i], N)[1] == rho]
+        assert group == sorted(group)
+    for i, s in walked:
+        alone = next(_walk(panel, B, [nus[i]]))
+        assert alone[0] == 0 and alone[1].tobytes() == s.tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
