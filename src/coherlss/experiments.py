@@ -326,62 +326,79 @@ def eigenvalue_localization_check(cfg: ExperimentConfig, epsilon: float = 0.5):
     """Largest excursion of any coherency eigenvalue beyond the MP support.
 
     Returns (passed, worst_excursion); failure is an outcome, not an error.
+    The replicate seeds are dealt round-robin into one chunk per worker
+    thread, and each chunk carries its running excursion from seed to seed.
     """
     epsilon = check_real(epsilon, "epsilon", interval=(0.0, math.inf))
     lcfg = cfg.lss_config()
     mp = MPModel(lcfg.c_N)
+    seeds = cfg.replicate_seeds()
+    chunks = min(cfg.threads, len(seeds))
     one = functools.partial(_localization_worst, cfg.model(), lcfg,
                             mp.lambda_minus, mp.lambda_plus)
-    worst = max(max(_parallel_map(one, cfg.replicate_seeds(), cfg.threads)), 0.0)
+    worst = max(max(_parallel_map(one, [seeds[k::chunks] for k in range(chunks)], chunks)), 0.0)
     return worst <= epsilon, worst
 
 
 def _localization_worst(model: ModelSpec, lcfg: LssConfig, lm: float, lp: float,
-                        seed: int) -> float:
-    """Largest excursion beyond [lm, lp] of one replicate's coherency
-    eigenvalues on the grid, and 0.0 if none leaves it.
+                        seeds) -> float:
+    """Largest excursion beyond [lm, lp] of the coherency eigenvalues on the
+    grid, over the replicates of ``seeds``, and 0.0 if none leaves it.
 
     A window is solved with eigvalsh only when Cholesky cannot certify that
     its eigenvalues lie inside [lm - worst + delta, lp + worst - delta],
-    worst being the running excursion. A Cholesky that completes on a
-    Hermitian A proves A + E positive definite with
-    ||E||_2 <= M(M+1) eps max a_ii (Demmel 1989; Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 10), and eigvalsh is backward
-    stable, so its eigenvalues are exact for C + F with ||F||_2 a small
-    multiple of M^2 eps ||C||_2. Both read only the lower triangle of C, so
-    they see one Hermitian matrix. Every diagonal entry of the shifted
-    matrices is at most 1 + lp + worst, and so is ||C||_2 on a certified
-    window, so delta = 4 (M+1)^2 eps (1 + lp + worst) dominates both errors:
-    a certified window's computed excursion is at most worst, and skipping it
-    leaves the running max, and with it the result, with the same bits as an
-    eigensolve at every window.
+    worst being the running excursion, carried from seed to seed. The
+    certificate is taken on S, not on C = D^{-1/2} S D^{-1/2} with
+    D = diag(S): hi I - C and C - lo I are congruent to hi D - S and
+    S - lo D, so each is positive definite when the other is.
+
+    A Cholesky that completes on a Hermitian A proves A + E positive
+    definite with |e_ij| <= (M+1) eps sqrt(a_ii a_jj) / (1 - (M+1) eps)
+    (Demmel 1989; Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 10). That bound is invariant under diagonal scaling: on A = hi D - S
+    it is, after scaling by D^{-1/2}, the same bound on hi I - C, so
+    ||D^{-1/2} E D^{-1/2}||_2 <= M(M+1) eps (1 + lp + worst) as when C was
+    factored, every diagonal entry of the scaled shifted matrices being at
+    most 1 + lp + worst. Forming the shifted diagonal (hi - 1) d_ii rounds it
+    by a relative eps, and fl(C), which eigvalsh reads, is within a few eps
+    of C(S) entrywise, hence O(M eps) in norm. eigvalsh is backward stable,
+    so its eigenvalues are exact for fl(C) + F with ||F||_2 a small
+    multiple of M^2 eps ||C||_2, and ||C||_2 <= 1 + lp + worst on a
+    certified window. So delta = 4 (M+1)^2 eps (1 + lp + worst) dominates
+    all of these: a certified window's computed excursion is at most worst,
+    and skipping it leaves the running max, and with it the result, with
+    the same bits as an eigensolve at every window, in any order of windows
+    and seeds.
     """
     margin = 4.0 * (lcfg.M + 1) ** 2 * np.finfo(float).eps
     worst = 0.0
-    for _, s in spectral._walk(simulate_panel(model, lcfg.M, lcfg.N, seed), lcfg.B, lcfg.grid):
-        c = spectral._normalize(s)
-        delta = margin * (1.0 + lp + worst)
-        if _certified_inside(c, lm - worst + delta, lp + worst - delta):
-            continue
-        eigs = np.linalg.eigvalsh(c)
-        worst = max(worst, lm - float(eigs[0]), float(eigs[-1]) - lp)
+    for seed in seeds:
+        panel = simulate_panel(model, lcfg.M, lcfg.N, seed)
+        for _, s in spectral._walk(panel, lcfg.B, lcfg.grid):
+            delta = margin * (1.0 + lp + worst)
+            if _certified_inside(s, lm - worst + delta, lp + worst - delta):
+                continue
+            eigs = np.linalg.eigvalsh(spectral._normalize(s))
+            worst = max(worst, lm - float(eigs[0]), float(eigs[-1]) - lp)
     return worst
 
 
-def _certified_inside(c: np.ndarray, lo: float, hi: float) -> bool:
-    """Whether Cholesky factors hi I - C and, when lo > 0, C - lo I.
+def _certified_inside(s: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether Cholesky factors hi D - S and, when lo > 0, S - lo D, with
+    D = diag(S): whether the coherency eigenvalues lie inside [lo, hi].
 
-    C is a coherency matrix, whose diagonal is exactly 1.
+    Each shifted diagonal entry is formed as (hi - 1) d_ii or (1 - lo) d_ii.
     """
+    d = spectral._positive_diagonal(s)
     # negating the float64 view gives the same bits several times faster
-    shifted = np.negative(c.view(np.float64)).view(np.complex128)
+    shifted = np.negative(s.view(np.float64)).view(np.complex128)
     diagonal = spectral._diagonal(shifted)
-    diagonal[...] = hi - 1.0
+    diagonal[...] = (hi - 1.0) * d
     try:
         np.linalg.cholesky(shifted)
         if lo > 0.0:
-            np.copyto(shifted, c)
-            diagonal[...] = 1.0 - lo
+            np.copyto(shifted, s)
+            diagonal[...] = (1.0 - lo) * d
             np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False

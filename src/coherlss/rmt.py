@@ -11,18 +11,18 @@ The correction transforms are, with w = z t t_tilde:
     p(z)       = -c w^3 / (1 - c w^2)
     p_tilde(z) = w^2 / (1 - c w^2)   (equals d(z t)/dz)
 
-Each is the Stieltjes transform of a compactly supported distribution; the
-action <D, f> is recovered either by the inversion formula
-(1/pi) lim_{y->0} int f(x) Im p(x + i y) dx or, for analytic f, by a
+Each is the Stieltjes transform of a distribution on [l-, l+], whose
+action <D, f> is (1/pi) int f(x) Im p(x + i0) dx over the support.  With
+x = m + R cos(theta), m and R the centre and half-width of the support, the
+boundary value is closed-form: t(x + i0) = (1 - c - x + i R sin(theta)) /
+(2 c x) and w = -t / (1 + c t).  The factor R sin(theta) of dx cancels the
+inverse-square-root edges of Im p, so for analytic f the integrand is
+smooth in theta and the adaptive rule of mp_integral resolves it from one
+interval.  For analytic f the action is also the
 clockwise rectangle contour integral (1/(2 pi i)) oint f(z) p(z) dz.
 
-Quadrature is numpy only: an adaptive 21-point Gauss-Kronrod rule
-(QUADPACK's qk21) integrates array integrands, so a callable f must accept
-numpy arrays on every route (MP integral, inversion and contour).  Each
-inversion height is one such integral, from a first pass whose nodes are at
-most 1/16384 of the interval apart; its error estimate must be <= 1e-7, and
-then the last two Richardson extrapolants must agree to 1e-3.  The contour
-sum must agree with the sum on half its nodes to 1e-3 (1 + |value|).
+Quadrature is numpy only, so a callable f must accept numpy arrays on
+every route; distribution_action states each route's rule and check.
 """
 
 from __future__ import annotations
@@ -45,10 +45,8 @@ FUNCTION_KINDS = ("square_centered", "log", "polynomial", "callable")
 TRANSFORM_NAMES = ("p", "p_tilde")
 
 _AXIS_NUDGE = 1e-12
-_INVERSION_YS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 _QUAD_MAX_ERROR = 1e-7  # the integrator's own error estimate, as in mp_integral
-_RICHARDSON_MAX_GAP = 1e-3  # between the last two extrapolants
-_FIRST_PASS_INTERVALS = 1280  # qk21 nodes are then <= (a2 - a1) / 16384 apart
+_FIRST_PASS_INTERVALS = 1280  # qk21 nodes are then <= pi / 16384 apart
 _REFINE_INTERVALS = 400  # bisections allowed beyond the first pass
 _CONTOUR_NODES = 2048
 _CONTOUR_MAX_GAP = 1e-3  # against half the nodes, relative to 1 + |value|
@@ -362,7 +360,11 @@ def _correction_transform(model: MPModel, z_arr: np.ndarray, which: str) -> np.n
     c = model.c
     t = _mp_branch(c, z_arr)
     tt = -1.0 / (z_arr * (1.0 + c * t))
-    w = z_arr * t * tt
+    return _from_w(c, z_arr * t * tt, which)
+
+
+def _from_w(c: float, w: np.ndarray, which: str) -> np.ndarray:
+    """p or p_tilde from w = z t t_tilde."""
     den = 1.0 - c * w * w
     if np.any(np.abs(den) < 1e-14):
         raise SingularPointError("transform evaluated at a (numerical) pole of 1 - c w^2")
@@ -398,44 +400,38 @@ def _transform_anywhere(model: MPModel, z, which: str) -> np.ndarray:
 
 
 def _action_interval(model: MPModel, f: SpectralFunction) -> tuple[float, float]:
-    # the left margin shrinks for positive-domain f so the interval and the
-    # contour stay inside the analyticity region of log for every c in (0,1)
+    # the left margin shrinks for positive-domain f so the contour stays
+    # inside the analyticity region of log for every c in (0,1)
     lm, lp = model.lambda_minus, model.lambda_plus
     left = min(_MARGIN, 0.5 * lm) if f.positive_domain else _MARGIN
     return lm - left, lp + _MARGIN
 
 
-def _inversion_level(model: MPModel, f: SpectralFunction, which: str, y: float,
-                     a1: float, a2: float) -> float:
-    """(1/pi) int_a1^a2 f(x) Im transform(x + i y) dx by the adaptive rule
-    from equal intervals no wider than (a2 - a1) / 1280 on each of [a1, l-],
-    [l-, l+] and [l+, a2]; raises if its error estimate exceeds 1e-7."""
-    def integrand(lam):
-        return f(lam) * _correction_transform(model, lam + 1j * y, which).imag
+def _boundary_integrand(model: MPModel, f: SpectralFunction, which: str) -> Callable:
+    """theta -> f(x) Im transform(x + i0) R sin(theta) / pi, x = m + R cos(theta),
+    whose integral over [0, pi] is <D, f>. t(x + i0) is closed-form: the
+    discriminant of _mp_branch cancels near the edges."""
+    c, lm, lp = model.c, model.lambda_minus, model.lambda_plus
+    center, radius = 0.5 * (lp + lm), 0.5 * (lp - lm)
 
-    edges = (a1, model.lambda_minus, model.lambda_plus, a2)
-    widest = (a2 - a1) / _FIRST_PASS_INTERVALS
-    pieces = [np.linspace(lo, hi, math.ceil((hi - lo) / widest) + 1)[:-1]
-              for lo, hi in zip(edges[:-1], edges[1:])]
-    breakpoints = np.concatenate(pieces + [[a2]])
-    v, err = _gauss_kronrod(integrand, breakpoints, 1e-10, 1e-10,
-                            breakpoints.size - 1 + _REFINE_INTERVALS)
+    def integrand(theta):
+        x = center + radius * np.cos(theta)
+        height = radius * np.sin(theta)
+        t = (1.0 - c - x + 1j * height) / (2.0 * c * x)
+        return f(x) * _from_w(c, -t / (1.0 + c * t), which).imag * (height / np.pi)
+
+    return integrand
+
+
+def _action_inversion(model, f, which) -> float:
+    # analytic f: one interval, as in mp_integral; otherwise a first pass
+    # whose qk21 nodes are at most pi / 16384 apart
+    edges = [0.0, np.pi] if f.analytic else np.linspace(0.0, np.pi, _FIRST_PASS_INTERVALS + 1)
+    value, err = _gauss_kronrod(_boundary_integrand(model, f, which), edges, 1e-10, 1e-10,
+                                len(edges) - 1 + _REFINE_INTERVALS)
     if not err <= _QUAD_MAX_ERROR:
-        raise NumericalFailureError(
-            f"inversion quadrature at y={y:g} did not converge (error estimate {err:.2e})")
-    return v / np.pi
-
-
-def _action_inversion(model, f, which, a1, a2) -> float:
-    table = [_inversion_level(model, f, which, y, a1, a2) for y in _INVERSION_YS]
-    for j in range(1, len(table)):
-        gap = abs(table[1] - table[0])  # on the last pass: the last two extrapolants
-        weight = 2.0 ** j
-        table = [(weight * table[k + 1] - table[k]) / (weight - 1.0) for k in range(len(table) - 1)]
-    if not gap <= _RICHARDSON_MAX_GAP:
-        raise NumericalFailureError(
-            f"Richardson extrapolation did not converge (last two extrapolants {gap:.1e} apart)")
-    return float(table[0])
+        raise NumericalFailureError(f"inversion quadrature did not converge (error estimate {err:.2e})")
+    return value
 
 
 def _action_contour(model, f, which, a1, a2) -> float:
@@ -472,10 +468,10 @@ _ACTION_CACHE: dict = {}
 def distribution_action(transform: str, model: MPModel, f: SpectralFunction, method: str = "auto") -> float:
     """<D, f> for the distribution behind ``transform`` ('p' or 'p_tilde').
 
-    method='inversion' integrates f * Im(transform) just above the axis at
-    y in {1e-2, 5e-3, 2.5e-3, 1.25e-3} with the adaptive Gauss-Kronrod rule,
-    whose error estimate must be <= 1e-7, and Richardson-extrapolates to
-    y=0, where the last two extrapolants must agree to 1e-3;
+    method='inversion' integrates f * Im(transform) over the support from the
+    closed-form boundary value, in theta, by the adaptive Gauss-Kronrod rule
+    from one interval for analytic f and from 1280 equal intervals
+    otherwise, with 400 bisections beyond; its error estimate must be <= 1e-7;
     method='contour' (analytic f only) integrates f * transform clockwise
     around the support rectangle with a 2048-node trapezoid rule, which must
     agree with the rule on half the nodes to 1e-3 (1 + |value|);
@@ -498,7 +494,7 @@ def distribution_action(transform: str, model: MPModel, f: SpectralFunction, met
     key = (transform, model.c, f, method)
     if key not in _ACTION_CACHE:
         if method == "inversion":
-            _ACTION_CACHE[key] = _action_inversion(model, f, transform, a1, a2)
+            _ACTION_CACHE[key] = _action_inversion(model, f, transform)
         else:
             _ACTION_CACHE[key] = _action_contour(model, f, transform, a1, a2)
     return _ACTION_CACHE[key]

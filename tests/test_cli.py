@@ -200,7 +200,7 @@ def test_artifacts_match_pinned_digests(tmp_path):
         if here[key] != pinned[key]:
             pytest.skip(f"digests were recorded with {key} {pinned[key]!r}, this is {here[key]!r}")
     assert list(pinned["commands"]) == list(recorder.COMMANDS)
+    assert {name: entry["argv"] for name, entry in pinned["commands"].items()} == recorder.COMMANDS
+    # one comparison of the whole dict, so a failure lists every file that moved
     got = recorder.run_commands(tmp_path)
-    for name, entry in pinned["commands"].items():
-        assert entry["argv"] == recorder.COMMANDS[name]
-        assert got[name] == entry["files"], name
+    assert got == {name: entry["files"] for name, entry in pinned["commands"].items()}

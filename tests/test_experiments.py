@@ -30,6 +30,7 @@ from coherlss import (
 from coherlss.experiments import (
     HISTOGRAM_HEADER,
     SWEEP_HEADER,
+    _certified_inside,
     _mean_skipping_nan,
     scaling_geometry,
     write_table_csv,
@@ -325,7 +326,8 @@ _LOCALIZATION_ORACLE = [
 @pytest.mark.parametrize("shape,side", _LOCALIZATION_ORACLE)
 def test_localization_matches_eigvalsh_everywhere(shape, side):
     # the Cholesky certificates only skip windows that cannot raise the
-    # running max, so worst has the bits of an eigensolve at every window
+    # running max, so worst has the bits of an eigensolve at every window,
+    # however the seeds are dealt to worker threads
     N, B, M, theta = shape
     sides = []
     for seed in range(3):
@@ -341,6 +343,43 @@ def test_localization_matches_eigvalsh_everywhere(shape, side):
         assert worst > 5.0
     elif side is not None:
         assert side in sides
+    cfg = ExperimentConfig(N=N, B=B, M=M, theta=theta, replicates=3, seed=7, grid_stride=N // 32)
+    expected = max(*_excursions_by_eigvalsh(cfg), 0.0)
+    for threads in (1, 2, 3):
+        passed, worst = eigenvalue_localization_check(dataclasses.replace(cfg, threads=threads))
+        assert worst == expected
+        assert passed == (expected <= 0.5)
+
+
+def _certified_on_c(s, lo, hi):
+    # the certificate on the coherency matrix: Cholesky of hi I - C and,
+    # when lo > 0, of C - lo I
+    c = spectral._normalize(np.array(s))
+    try:
+        np.linalg.cholesky(hi * np.eye(len(c)) - c)
+        if lo > 0.0:
+            np.linalg.cholesky(c - lo * np.eye(len(c)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("M", [1, 2, 8, 40])
+def test_certificate_on_s_agrees_with_the_one_on_c(M):
+    # hi D - S and S - lo D are congruent to hi I - C and C - lo I, so away
+    # from the spectrum both certificates decide the same, and decide right
+    rng = np.random.default_rng(M)
+    for _ in range(20):
+        rows = rng.standard_normal((M, M + 3)) + 1j * rng.standard_normal((M, M + 3))
+        rows *= np.exp(rng.uniform(-4.0, 4.0, M))[:, None]
+        s = rows @ rows.conj().T
+        eigs = np.linalg.eigvalsh(spectral._normalize(np.array(s)))
+        for gap in (1e-6, 1e-3, 0.3):
+            for lo, hi in ((eigs[0] - gap, eigs[-1] + gap), (eigs[0] + gap, eigs[-1] + gap),
+                           (eigs[0] - gap, eigs[-1] - gap), (-1.0, eigs[-1] + gap)):
+                expected = bool(lo < eigs[0] and eigs[-1] < hi)
+                assert _certified_inside(np.array(s), lo, hi) == expected
+                assert _certified_on_c(s, lo, hi) == expected
 
 
 def test_localization_solves_few_windows(monkeypatch):

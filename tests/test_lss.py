@@ -795,8 +795,8 @@ def test_statistic_row_permutation_and_scale_invariance(window, f, seed):
     perm = rng.permutation(panel.M)
     scales = np.exp(rng.uniform(-3.0, 3.0, panel.M))
     moved = TimeSeriesPanel(panel.data[perm] * scales[:, None], panel.model, panel.seed)
-    # none mode forms no phi, which log does not resolve near c = 1 (see
-    # test_log_action_fails_loudly_at_c_0_9)
+    # none mode forms no phi, which the contour does not resolve for log
+    # near c = 1 (see test_log_action_at_c_0_9)
     assert psi_at(moved, cfg, nu).lss_raw == pytest.approx(psi_at(panel, cfg, nu).lss_raw,
                                                            abs=1e-10)
 

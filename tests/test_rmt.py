@@ -252,72 +252,119 @@ def test_inversion_resolves_a_wide_bump(w):
         -0.371, abs=1e-3)
 
 
-def _recording(f):
-    # f that keeps every array it is applied to
-    calls = []
-
-    def fn(x):
-        calls.append(np.array(x))
-        return f(x)
-
-    return SpectralFunction.from_callable(fn, positive_domain=f.positive_domain, label=f.label), calls
-
-
 @pytest.mark.parametrize("name", ["square_centered", "log"])
 @pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
-def test_first_pass_leaves_no_wide_gap(c, name):
-    model = MPModel(c)
-    f, calls = _recording(spectral_function(name))
-    a1, a2 = rmt._action_interval(model, f)
-    rmt._inversion_level(model, f, "p", rmt._INVERSION_YS[0], a1, a2)
-    nodes = np.sort(calls[0])
-    gaps = np.diff(np.concatenate([[a1], nodes, [a2]]))
-    assert nodes[0] > a1 and nodes[-1] < a2
-    assert gaps.max() <= (a2 - a1) / 16384
+def test_first_pass_leaves_no_wide_gap(c, name, monkeypatch):
+    # the non-analytic route's first pass samples theta in (0, pi) densely
+    thetas = []
+    boundary = rmt._boundary_integrand
+
+    def recording(model, f, which):
+        integrand = boundary(model, f, which)
+
+        def fn(theta):
+            thetas.append(np.array(theta))
+            return integrand(theta)
+
+        return fn
+
+    monkeypatch.setattr(rmt, "_boundary_integrand", recording)
+    monkeypatch.setattr(rmt, "_ACTION_CACHE", {})
+    f = SpectralFunction.from_callable(spectral_function(name), positive_domain=name == "log",
+                                       label=name)
+    distribution_action("p", MPModel(c), f, method="inversion")
+    nodes = np.sort(thetas[0])
+    gaps = np.diff(np.concatenate([[0.0], nodes, [np.pi]]))
+    assert nodes[0] > 0.0 and nodes[-1] < np.pi
+    assert gaps.max() <= np.pi / 16384
 
 
 def test_inversion_rejects_unconverged_quadrature():
-    # 2000 radians per unit of lambda: about 1000 periods over [a1, a2], which
-    # the first pass resolves; each level matches quad on the same integrand
+    # 2000 radians per unit of lambda: about 900 periods over the support,
+    # which the first pass resolves; the route matches quad in theta
     model = MPModel(0.5)
-    a1, a2 = rmt._action_interval(model, _sine(2000))
-    for y in rmt._INVERSION_YS:
-        value = rmt._inversion_level(model, _sine(2000), "p", y, a1, a2)
-        expected = _quad_level(model, _sine(2000), "p", y, a1, a2, limit=1000)
-        assert abs(value - expected) <= 1e-13
-    # ten times faster: the error estimate stays about 0.5 after the
+    value = distribution_action("p", model, _sine(2000), method="inversion")
+    assert abs(value - _quad_theta(model, _sine(2000), "p", limit=1000)) <= 1e-13
+    # ten times faster: the error estimate stays about 0.24 after the
     # refinement budget is spent
     with pytest.raises(NumericalFailureError, match="did not converge"):
         distribution_action("p", model, _sine(20000), method="inversion")
 
 
-def test_inversion_rejects_unconverged_extrapolation():
-    # oscillation on the scale of the heights y: the last two Richardson
-    # extrapolants differ by about 8e-3
-    with pytest.raises(NumericalFailureError, match="Richardson"):
-        distribution_action("p", MPModel(0.5), _sine(600), method="inversion")
+def test_inversion_resolves_sin_600x():
+    # an oscillation with a period of about 1e-2 in x, which the
+    # non-analytic route resolves
+    model = MPModel(0.5)
+    value = distribution_action("p", model, _sine(600), method="inversion")
+    assert abs(value - _quad_theta(model, _sine(600), "p", limit=1000)) <= 1e-13
 
 
 @pytest.mark.parametrize("which, exact", [("p", -0.4), ("p_tilde", -1.0)])
 def test_log_action_holds_up_to_c_0_8(which, exact):
     # <D, log> is -c/2 for p and -1 for p_tilde; at c = 0.8 the contour
-    # route is within 2e-5 and the inversion route within 5e-4
+    # route is within 2e-5 and the inversion route within 1e-10
     model, f = MPModel(0.8), spectral_function("log")
     assert distribution_action(which, model, f, method="contour") == pytest.approx(exact, abs=2e-5)
-    assert distribution_action(which, model, f, method="inversion") == pytest.approx(exact, abs=5e-4)
+    assert distribution_action(which, model, f, method="inversion") == pytest.approx(exact, abs=1e-10)
+
+
+@pytest.mark.parametrize("which, exact", [("p", -0.45), ("p_tilde", -1.0)])
+def test_log_action_at_c_0_9(which, exact):
+    # log's singularity at 0 sits close to lambda_minus = 0.0026: the
+    # boundary-value inversion resolves it, but the contour, which passes
+    # a1 = lambda_minus / 2 = 0.0013, moves by about 4e-2 on half its nodes
+    # while its value is off by about 1e-2, and must fail loudly
+    model, f = MPModel(0.9), spectral_function("log")
+    assert distribution_action(which, model, f, method="inversion") == pytest.approx(exact, abs=1e-10)
+    with pytest.raises(NumericalFailureError, match="under-resolved"):
+        distribution_action(which, model, f, method="contour")
+
+
+def _cubic_actions(c, a):
+    # <D, x^k> from the Laurent series of p = -c s^3 - 3c(1+c) s^4 - ...,
+    # s = 1/z, and <D_tilde, x^k> = -k m_k from p_tilde = (z t)', with m_k
+    # the MP moments
+    return (a[2] * c + a[3] * 3.0 * c * (1.0 + c),
+            -sum(k * a[k] * _moment_oracle(c, k) for k in (1, 2, 3)))
+
+
+@pytest.mark.parametrize("c", [0.1, 0.5, 0.8, 0.9, 0.95])
+def test_inversion_closed_forms(c):
+    model = MPModel(c)
+    cubic = (0.5, -1.5, 2.0, -0.75)
+    cases = [(spectral_function("square_centered"), (c, -2.0 * c)),
+             (spectral_function("log"), (-c / 2.0, -1.0)),
+             (SpectralFunction.polynomial(cubic), _cubic_actions(c, cubic))]
+    for f, exact in cases:
+        for which, value in zip(rmt.TRANSFORM_NAMES, exact):
+            assert abs(distribution_action(which, model, f, method="inversion") - value) <= 1e-11
+
+
+def test_inversion_of_analytic_f_refines_or_raises():
+    # a pole 1e-6 beyond lambda_plus on an f flagged analytic: bisection
+    # from the one first interval reaches it and matches quad in theta
+    model = MPModel(0.5)
+    pole = model.lambda_plus + 1e-6
+    f = SpectralFunction.from_callable(lambda x: 1.0 / (x - pole), analytic=True, label="pole")
+    value = distribution_action("p", model, f, method="inversion")
+    assert abs(value - _quad_theta(model, f, "p", limit=1000)) <= 1e-10 * (1.0 + abs(value))
+    # an entire f that oscillates too fast: the error estimate stays about
+    # 0.31 after the refinement budget is spent
+    fast = SpectralFunction.from_callable(lambda x: np.sin(20000 * np.asarray(x)), analytic=True,
+                                          label="sin(20000x)")
+    with pytest.raises(NumericalFailureError, match="did not converge"):
+        distribution_action("p", model, fast, method="inversion")
 
 
 @pytest.mark.parametrize("which", rmt.TRANSFORM_NAMES)
-def test_log_action_fails_loudly_at_c_0_9(which):
-    # log's singularity at 0 sits close to a1 = lambda_minus / 2 = 0.0013: the
-    # inversion levels converge but are too far from their limit for the
-    # extrapolation (about 1e-2 apart), and the contour sum moves by about
-    # 4e-2 on half its nodes while its value is off by about 1e-2
-    model, f = MPModel(0.9), spectral_function("log")
-    with pytest.raises(NumericalFailureError, match="Richardson"):
-        distribution_action(which, model, f, method="inversion")
-    with pytest.raises(NumericalFailureError, match="under-resolved"):
-        distribution_action(which, model, f, method="contour")
+@pytest.mark.parametrize("c", [0.05, 0.5, 0.95])
+def test_boundary_integrand_is_smooth_at_the_edges(c, which):
+    # Im p has inverse-square-root edges, and R sin(theta) cancels them
+    model, f = MPModel(c), spectral_function("log")
+    edges = np.array([0.0, np.pi])
+    near = rmt._boundary_integrand(model, f, which)(np.array([1e-9, np.pi - 1e-9]))
+    assert np.all(np.isfinite(near))
+    assert np.all(np.abs(near - _theta_integrand(model, f, which)(edges)) <= 1e-9)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -331,18 +378,33 @@ def test_branch_fallback_must_reach_upper_half_plane():
         mp_stieltjes(MPModel(0.5), complex(np.nan, 1.0))
 
 
-def _quad_level(model, f, which, y, a1, a2, limit=400):
-    # quad on the scalar integrand, breakpoints at the support edges
-    def integrand(lam):
-        return float(f(lam)) * complex(rmt._correction_transform(model, np.array([complex(lam, y)]),
-                                                                 which)[0]).imag
+def _theta_integrand(model, f, which):
+    # the inversion integrand in theta, from identities of the boundary
+    # value rather than from w: with u = z t, c u^2 + (z - 1 + c) u + z = 0
+    # gives p_tilde = u' = -(1 + u) / (2 c u + z - 1 + c), whose denominator
+    # is i R sin(theta) on the support, and p = -c w p_tilde
+    c, lm, lp = model.c, model.lambda_minus, model.lambda_plus
+    center, radius = 0.5 * (lp + lm), 0.5 * (lp - lm)
 
-    v, _ = integrate.quad(integrand, a1, a2, points=[model.lambda_minus, model.lambda_plus],
-                          limit=limit, epsabs=1e-10, epsrel=1e-10)
-    return v / np.pi
+    def integrand(theta):
+        x = center + radius * np.cos(theta)
+        if which == "p_tilde":
+            return f(x) * -np.cos(theta) / (math.sqrt(c) * np.pi)
+        t = (1.0 - c - x + 1j * radius * np.sin(theta)) / (2.0 * c * x)
+        return f(x) * c * np.real(t * (1.0 + x * t) / (1.0 + c * t)) / np.pi
+
+    return integrand
 
 
-_LEVEL_FUNCTIONS = st.one_of(
+def _quad_theta(model, f, which, limit=400):
+    # quad on the scalar integrand over theta in [0, pi]
+    integrand = _theta_integrand(model, f, which)
+    v, _ = integrate.quad(lambda theta: float(integrand(theta)), 0.0, np.pi, limit=limit,
+                          epsabs=1e-12, epsrel=1e-12)
+    return v
+
+
+_INVERSION_FUNCTIONS = st.one_of(
     st.sampled_from([spectral_function("square_centered"), spectral_function("log"),
                      SpectralFunction.from_callable(lambda x: np.abs(x - 1.0), label="|x-1|")]),
     st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4).map(SpectralFunction.polynomial),
@@ -350,13 +412,11 @@ _LEVEL_FUNCTIONS = st.one_of(
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.floats(0.05, 0.95), st.sampled_from(rmt._INVERSION_YS), _LEVEL_FUNCTIONS,
-       st.sampled_from(rmt.TRANSFORM_NAMES))
-def test_inversion_level_matches_quad(c, y, f, which):
+@given(st.floats(0.05, 0.95), _INVERSION_FUNCTIONS, st.sampled_from(rmt.TRANSFORM_NAMES))
+def test_inversion_matches_quad(c, f, which):
     model = MPModel(c)
-    a1, a2 = rmt._action_interval(model, f)
-    value = rmt._inversion_level(model, f, which, y, a1, a2)
-    expected = _quad_level(model, f, which, y, a1, a2)
+    value = distribution_action(which, model, f, method="inversion")
+    expected = _quad_theta(model, f, which)
     assert abs(value - expected) <= 1e-10 * (1.0 + abs(expected))
 
 
