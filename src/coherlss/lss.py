@@ -256,15 +256,9 @@ def r_hat_grid(panel: TimeSeriesPanel, L: int, nus: np.ndarray,
     return r, np.where(degenerate, 0, np.count_nonzero(s < floor, axis=0))
 
 
-_MP_CACHE: dict = {}
-
-
 def mp_integral_value(c: float, f) -> float:
-    f = spectral_function(f)
-    key = (float(c), f)
-    if key not in _MP_CACHE:
-        _MP_CACHE[key] = rmt.mp_integral(MPModel(c), f)
-    return _MP_CACHE[key]
+    """int f dmu_MP at c, cached in rmt's action cache."""
+    return rmt.mp_integral(MPModel(c), f)
 
 
 def phi_value(c: float, f) -> float:

@@ -17,12 +17,16 @@ x = m + R cos(theta), m and R the centre and half-width of the support, the
 boundary value is closed-form: t(x + i0) = (1 - c - x + i R sin(theta)) /
 (2 c x) and w = -t / (1 + c t).  The factor R sin(theta) of dx cancels the
 inverse-square-root edges of Im p, so for analytic f the integrand is
-smooth in theta and the adaptive rule of mp_integral resolves it from one
-interval.  For analytic f the action is also the
-clockwise rectangle contour integral (1/(2 pi i)) oint f(z) p(z) dz.
+smooth in theta and the adaptive rule resolves it from one interval.  The
+MP law is the distribution behind t itself, so int f dmu_MP is the same
+integral with t in place of p (mp_integral): one rule for every integral
+over the support.  For analytic f the action is also the clockwise
+rectangle contour integral (1/(2 pi i)) oint f(z) p(z) dz.
 
 Quadrature is numpy only, so a callable f must accept numpy arrays on
-every route; distribution_action states each route's rule and check.
+every route; distribution_action states each route's rule and check.  The
+public transforms return finite values, or raise NumericalFailureError
+where an intermediate over- or underflows (near z = 0).
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ FUNCTION_KINDS = ("square_centered", "log", "polynomial", "callable")
 TRANSFORM_NAMES = ("p", "p_tilde")
 
 _AXIS_NUDGE = 1e-12
-_QUAD_MAX_ERROR = 1e-7  # the integrator's own error estimate, as in mp_integral
+_QUAD_MAX_ERROR = 1e-7  # bound on the integrator's own error estimate
 _FIRST_PASS_INTERVALS = 1280  # qk21 nodes are then <= pi / 16384 apart
 _REFINE_INTERVALS = 400  # bisections allowed beyond the first pass
 _CONTOUR_NODES = 2048
@@ -91,13 +95,20 @@ class SpectralFunction:
         if self.kind not in FUNCTION_KINDS:
             raise InvalidArgumentError(f"kind must be one of {FUNCTION_KINDS}, got {self.kind!r}")
         if self.kind == "polynomial":
-            if not self.coefficients:
-                raise InvalidArgumentError("polynomial needs a nonempty coefficient tuple")
-            object.__setattr__(self, "coefficients", tuple(float(a) for a in self.coefficients))
+            if not isinstance(self.coefficients, (tuple, list)) or not self.coefficients:
+                raise InvalidArgumentError(
+                    f"polynomial needs a nonempty coefficient tuple, got {self.coefficients!r} "
+                    "(SpectralFunction.polynomial takes any iterable)")
+            object.__setattr__(self, "coefficients", tuple(
+                check_real(a, "polynomial coefficient") for a in self.coefficients))
         if self.kind == "callable" and not callable(self.fn):
             raise InvalidArgumentError("callable kind needs fn")
         if not self.label:
             object.__setattr__(self, "label", self.kind)
+        try:
+            hash(self)  # the action cache is keyed by f
+        except TypeError as exc:
+            raise InvalidArgumentError(f"a spectral function must be hashable: {exc}") from exc
 
     @classmethod
     def square_centered(cls) -> "SpectralFunction":
@@ -277,27 +288,6 @@ def _gauss_kronrod(fn: Callable, breakpoints, epsabs: float, epsrel: float,
         err = np.concatenate([err[~split], child_err])[order]
 
 
-def mp_integral(model: MPModel, f: SpectralFunction) -> float:
-    """int f dmu_MP with the edge square roots removed by x = m + R sin t.
-
-    f is applied to arrays of points in the support, so a callable f must
-    accept numpy arrays.
-    """
-    lm, lp = model.lambda_minus, model.lambda_plus
-    center = 0.5 * (lp + lm)
-    radius = 0.5 * (lp - lm)
-    scale = radius * radius / (2.0 * np.pi * model.c)
-
-    def integrand(t):
-        lam = center + radius * np.sin(t)
-        return f(lam) * scale * np.cos(t) ** 2 / lam
-
-    value, err = _gauss_kronrod(integrand, [-np.pi / 2.0, np.pi / 2.0], 1e-10, 1e-10, 200)
-    if not np.isfinite(value) or err > _QUAD_MAX_ERROR:
-        raise NumericalFailureError(f"MP quadrature did not converge (error estimate {err:.2e})")
-    return float(value)
-
-
 def _mp_branch(c: float, z: np.ndarray) -> np.ndarray:
     """Root of c z t^2 + (z-1+c) t + 1 = 0 with Im t > 0, for Im z > 0.
 
@@ -324,15 +314,21 @@ def _mp_branch(c: float, z: np.ndarray) -> np.ndarray:
     return t
 
 
-def _require_upper_half_plane(z) -> np.ndarray:
+def _upper_half_plane_value(z, evaluate: Callable):
+    """evaluate(z as an array) for Im z > 0, shaped like z.
+
+    Near z = 0 intermediates overflow (t_tilde ~ -(1-c)/z), and far out
+    b^2 in _mp_branch does: no numpy warning escapes, and a value that is
+    not finite raises NumericalFailureError. Finite values are as computed.
+    """
     z_arr = np.asarray(z, dtype=complex)
     if np.any(z_arr.imag <= 0.0):
         raise InvalidArgumentError("Im z > 0 required")
-    return z_arr
-
-
-def _as_input_shape(z, out):
-    return complex(out) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
+    with np.errstate(all="ignore"):
+        out = evaluate(z_arr)
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailureError("transform is not finite: it over- or underflowed at this z")
+    return complex(out) if np.isscalar(z) or z_arr.ndim == 0 else out
 
 
 def mp_stieltjes(model: MPModel, z):
@@ -340,19 +336,20 @@ def mp_stieltjes(model: MPModel, z):
 
     Checked against the fixed-point form t = 1/(-z + 1/(1 + c t)).
     """
-    z_arr = _require_upper_half_plane(z)
-    t = _mp_branch(model.c, z_arr)
-    fp = 1.0 / (-z_arr + 1.0 / (1.0 + model.c * t))
-    if np.any(np.abs(t - fp) > 1e-12 * (1.0 + np.abs(t))):
-        raise NumericalFailureError("Stieltjes branch failed its fixed-point residual check")
-    return _as_input_shape(z, t)
+    def evaluate(z_arr):
+        t = _mp_branch(model.c, z_arr)
+        fp = 1.0 / (-z_arr + 1.0 / (1.0 + model.c * t))
+        if np.any(np.abs(t - fp) > 1e-12 * (1.0 + np.abs(t))):
+            raise NumericalFailureError("Stieltjes branch failed its fixed-point residual check")
+        return t
+
+    return _upper_half_plane_value(z, evaluate)
 
 
 def mp_stieltjes_tilde(model: MPModel, z):
     """t_tilde(z) = -1/(z (1 + c t(z))): transform of c mu + (1-c) delta_0."""
-    z_arr = _require_upper_half_plane(z)
-    t = mp_stieltjes(model, z_arr)
-    return _as_input_shape(z, -1.0 / (z_arr * (1.0 + model.c * t)))
+    return _upper_half_plane_value(
+        z, lambda z_arr: -1.0 / (z_arr * (1.0 + model.c * mp_stieltjes(model, z_arr))))
 
 
 def _correction_transform(model: MPModel, z_arr: np.ndarray, which: str) -> np.ndarray:
@@ -375,14 +372,12 @@ def _from_w(c: float, w: np.ndarray, which: str) -> np.ndarray:
 
 def p_stieltjes(model: MPModel, z):
     """Stieltjes transform of the first correction distribution."""
-    z_arr = _require_upper_half_plane(z)
-    return _as_input_shape(z, _correction_transform(model, z_arr, "p"))
+    return _upper_half_plane_value(z, lambda z_arr: _correction_transform(model, z_arr, "p"))
 
 
 def p_tilde_stieltjes(model: MPModel, z):
     """Stieltjes transform of the second correction distribution, (z t)'."""
-    z_arr = _require_upper_half_plane(z)
-    return _as_input_shape(z, _correction_transform(model, z_arr, "p_tilde"))
+    return _upper_half_plane_value(z, lambda z_arr: _correction_transform(model, z_arr, "p_tilde"))
 
 
 def _transform_anywhere(model: MPModel, z, which: str) -> np.ndarray:
@@ -409,8 +404,9 @@ def _action_interval(model: MPModel, f: SpectralFunction) -> tuple[float, float]
 
 def _boundary_integrand(model: MPModel, f: SpectralFunction, which: str) -> Callable:
     """theta -> f(x) Im transform(x + i0) R sin(theta) / pi, x = m + R cos(theta),
-    whose integral over [0, pi] is <D, f>. t(x + i0) is closed-form: the
-    discriminant of _mp_branch cancels near the edges."""
+    whose integral over [0, pi] is <D, f>, or int f dmu_MP for which = 't'.
+    t(x + i0) is closed-form: the discriminant of _mp_branch cancels near
+    the edges."""
     c, lm, lp = model.c, model.lambda_minus, model.lambda_plus
     center, radius = 0.5 * (lp + lm), 0.5 * (lp - lm)
 
@@ -418,14 +414,15 @@ def _boundary_integrand(model: MPModel, f: SpectralFunction, which: str) -> Call
         x = center + radius * np.cos(theta)
         height = radius * np.sin(theta)
         t = (1.0 - c - x + 1j * height) / (2.0 * c * x)
-        return f(x) * _from_w(c, -t / (1.0 + c * t), which).imag * (height / np.pi)
+        value = t if which == "t" else _from_w(c, -t / (1.0 + c * t), which)
+        return f(x) * value.imag * (height / np.pi)
 
     return integrand
 
 
 def _action_inversion(model, f, which) -> float:
-    # analytic f: one interval, as in mp_integral; otherwise a first pass
-    # whose qk21 nodes are at most pi / 16384 apart
+    # analytic f: one interval; otherwise a first pass whose qk21 nodes are
+    # at most pi / 16384 apart
     edges = [0.0, np.pi] if f.analytic else np.linspace(0.0, np.pi, _FIRST_PASS_INTERVALS + 1)
     value, err = _gauss_kronrod(_boundary_integrand(model, f, which), edges, 1e-10, 1e-10,
                                 len(edges) - 1 + _REFINE_INTERVALS)
@@ -463,6 +460,18 @@ def _action_contour(model, f, which, a1, a2) -> float:
 
 
 _ACTION_CACHE: dict = {}
+
+
+def mp_integral(model: MPModel, f: SpectralFunction) -> float:
+    """int f dmu_MP: (1/pi) Im t(x + i0) is the MP density, so this is the
+    inversion action of t, by the rule and check of distribution_action, and
+    cached with the actions under the private name 't'. A callable f must
+    accept numpy arrays."""
+    f = spectral_function(f)
+    key = ("t", model.c, f, "inversion")
+    if key not in _ACTION_CACHE:
+        _ACTION_CACHE[key] = _action_inversion(model, f, "t")
+    return _ACTION_CACHE[key]
 
 
 def distribution_action(transform: str, model: MPModel, f: SpectralFunction, method: str = "auto") -> float:

@@ -37,7 +37,6 @@ from coherlss import (
     smoothed_periodogram,
     spectral_function,
 )
-from coherlss import lss as _lss_mod
 from coherlss import rmt as _rmt_mod
 
 _SWEEP_CACHE = {}
@@ -56,7 +55,6 @@ def _desk_sweep():
 
 def _clear_action_caches():
     _rmt_mod._ACTION_CACHE.clear()
-    _lss_mod._MP_CACHE.clear()
 
 
 def test_criterion_1_phi_golden(acceptance):

@@ -39,7 +39,7 @@ from coherlss.experiments import (
     write_sweep_outputs,
 )
 from coherlss.lss import u_n, v_n
-from coherlss.rmt import MPModel
+from coherlss.rmt import MPModel, SpectralFunction
 from coherlss.signal import simulate_panel
 
 
@@ -578,7 +578,19 @@ _REAL_ARGUMENTS = {
         InvalidArgumentError, lambda v: spectral_density(ModelSpec.ar1(0.4), v)),
     "spectral_density_derivative frequency": (
         InvalidArgumentError, lambda v: spectral_density_derivative(ModelSpec.ar1(0.4), v)),
+    "SpectralFunction polynomial coefficient": (
+        InvalidArgumentError, lambda v: SpectralFunction.polynomial([1.0, v])),
 }
+
+
+@dataclasses.dataclass
+class _UnhashableFunction:
+    # a plain dataclass sets __hash__ to None, so the action cache cannot
+    # take it as a key
+    scale: float = 1.0
+
+    def __call__(self, x):
+        return self.scale * x
 
 
 def _bad_argument_cases(arguments, values):
@@ -594,6 +606,11 @@ def _bad_argument_cases(arguments, values):
                    lambda v, density=density: density(ModelSpec.ar1(0.4), np.array([0.1, v])),
                    float("nan"), id=f"{density.__name__} frequency array-nan")
       for density in (spectral_density, spectral_density_derivative)],
+    pytest.param(InvalidArgumentError,
+                 lambda v: SpectralFunction(kind="polynomial", coefficients=v),
+                 np.array([1.0, 2.0]), id="SpectralFunction coefficients-array"),
+    pytest.param(InvalidArgumentError, SpectralFunction.from_callable, _UnhashableFunction(),
+                 id="SpectralFunction fn-unhashable"),
 ])
 def test_bad_arguments_raise_the_documented_error(error, call, value):
     # a bool, a non-number, a non-integer where an integer is wanted and a

@@ -98,6 +98,8 @@ def test_mp_integral_closed_forms():
         assert mp_integral(m, spectral_function("log")) == pytest.approx(log_val, abs=1e-9)
     m = MPModel(0.5)
     assert mp_integral(m, spectral_function("log")) == pytest.approx(math.log(2.0) - 1.0, abs=1e-9)
+    # a name is coerced as distribution_action coerces it
+    assert mp_integral(m, "log") == mp_integral(m, spectral_function("log"))
 
 
 def test_stieltjes_against_quadrature():
@@ -137,6 +139,29 @@ def test_transforms_reject_lower_half_plane():
             fn(m, 1.0 - 0.1j)
         with pytest.raises(InvalidArgumentError):
             fn(m, 1.0 + 0.0j)
+
+
+@pytest.mark.parametrize("fn", [mp_stieltjes, mp_stieltjes_tilde, p_stieltjes, p_tilde_stieltjes])
+def test_transforms_are_finite_or_fail_loudly(fn):
+    # near 0 and far out intermediates over- or underflow: every value is
+    # finite or NumericalFailureError, and no numpy warning escapes
+    m = MPModel(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (5e-324j, 1e-310j, 1e-308j, 1.0 + 1e-310j, 1e170j, 1e300j):
+            try:
+                assert np.isfinite(fn(m, z))
+            except NumericalFailureError:
+                pass
+        values = fn(m, np.array([1e-300j, 0.5 + 1e-310j, 1e170j]))
+        assert np.all(np.isfinite(values))
+        if fn is not mp_stieltjes:  # t(1e-310 i) = 2 + 8e-310 i is finite
+            with pytest.raises(NumericalFailureError, match="not finite"):
+                fn(m, 1e-310j)
+            with pytest.raises(NumericalFailureError, match="not finite"):
+                fn(m, np.array([1.0 + 1.0j, 1e-310j]))
+    # the fixed-point fallback still gives t(z) = -1/z where b^2 overflows
+    assert mp_stieltjes(m, 1e170j) == 1e-170j
 
 
 def test_action_annihilates_constants_and_identity():
@@ -250,6 +275,17 @@ def test_inversion_resolves_a_wide_bump(w):
     # its error estimate stays near 1e-33; the dense first pass meets it
     assert distribution_action("p", MPModel(0.5), _bump(w), method="inversion") == pytest.approx(
         -0.371, abs=1e-3)
+
+
+@pytest.mark.parametrize("w", [0.03, 0.01, 0.002])
+def test_mp_integral_resolves_a_narrow_bump(w):
+    # the MP integral is the inversion action of t, so its dense first pass
+    # meets the bump too; a sparse one returned about 0 for w <= 0.01
+    model = MPModel(0.5)
+    expected, _ = integrate.quad(lambda x: float(_bump(w)(x)) * mp_density(model, x),
+                                 model.lambda_minus, model.lambda_plus, points=[1.2], limit=200)
+    assert abs(mp_integral(model, _bump(w)) - expected) <= 1e-12
+    assert abs(coherlss.lss.mp_integral_value(0.5, _bump(w)) - expected) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["square_centered", "log"])

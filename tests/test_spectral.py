@@ -19,7 +19,7 @@ from coherlss import (
     smoothed_periodogram,
 )
 from coherlss.lss import LssConfig
-from coherlss.spectral import lag_covariances, lag_window_grid
+from coherlss.spectral import _walk, lag_covariances, lag_window_grid
 
 
 def _panel_from(data, seed=0):
@@ -435,3 +435,45 @@ def test_validated_arrays_are_read_only():
     C = coherency_matrix(smoothed_periodogram(panel, 0.25, 48))
     with pytest.raises(ValueError, match="read-only"):
         C.values[0, 1] = 2.0
+
+
+def test_ar1_periodogram_has_its_exact_moments():
+    # Before normalization the first two moments of S are exact under
+    # AR(1). Window k's DFT columns X have covariance G = F R F^H, with R
+    # the Toeplitz covariance r_u = theta^|u| / (1 - theta^2) and F the
+    # (B+1) x N orthonormal DFT rows. So E S_ii = tr G / (B+1), and for
+    # i != j the rows are independent circular complex Gaussian, so
+    # E|S_ij|^2 = ||G||_F^2 / (B+1)^2 (Isserlis). Unlike the coherency
+    # statistic, these see a wrong innovation variance or a wrong theta.
+    # The 23 windows (k = 5 + 11j) are disjoint and the 1000 seeds fixed.
+    # |z| < 4 bounds each frequency-averaged ratio; a theta error moves
+    # the spectrum up on one side and down on the other, so the averaged
+    # z misses it and the per-frequency sum of z^2 is bounded by the
+    # 99.99% point of chi^2 with 23 degrees of freedom.
+    M, N, B, theta, seeds = 8, 256, 10, 0.4, 1000
+    ks = [5 + 11 * j for j in range(23)]
+    n = np.arange(N)
+    lags = n[:, None] - n[None, :]
+    R = theta ** np.abs(lags) / (1.0 - theta * theta)
+    diag_exact, off_exact = [], []
+    for k in ks:
+        F = np.exp(-2j * np.pi * np.outer(k + np.arange(-B // 2, B // 2 + 1), n) / N) / np.sqrt(N)
+        G = F @ R @ F.conj().T
+        diag_exact.append(np.trace(G).real / (B + 1))
+        off_exact.append(np.sum(np.abs(G) ** 2) / (B + 1) ** 2)
+    off = ~np.eye(M, dtype=bool)
+    diag = np.empty((seeds, len(ks)))
+    cross = np.empty((seeds, len(ks)))
+    model = ModelSpec.ar1(theta)
+    for seed in range(seeds):
+        # the walk gives each frequency the bits of smoothed_periodogram's S
+        for j, S in _walk(simulate_panel(model, M, N, seed), B, [k / N for k in ks]):
+            diag[seed, j] = S.diagonal().real.mean()
+            cross[seed, j] = np.mean(np.abs(S[off]) ** 2)
+    for values, exact in ((diag, diag_exact), (cross, off_exact)):
+        ratios = values / np.array(exact)
+        z = (ratios.mean(axis=0) - 1.0) / (ratios.std(axis=0, ddof=1) / np.sqrt(seeds))
+        assert np.sum(z ** 2) < 57.07, z
+        averaged = ratios.mean(axis=1)
+        z_averaged = (averaged.mean() - 1.0) / (averaged.std(ddof=1) / np.sqrt(seeds))
+        assert abs(z_averaged) < 4.0, z_averaged
