@@ -150,11 +150,7 @@ def _replicate(model: ModelSpec, lcfg: LssConfig, seed: int) -> lss.Sweep:
 
 def _replicates(cfg: ExperimentConfig) -> list:
     """_replicate at each of cfg's replicate seeds, in seed order."""
-    lcfg = cfg.lss_config()
-    # cache phi and the MP integral before the workers start
-    lss.phi_value(lcfg.c_N, lcfg.f)
-    lss.mp_integral_value(lcfg.c_N, lcfg.f)
-    return _parallel_map(functools.partial(_replicate, cfg.model(), lcfg),
+    return _parallel_map(functools.partial(_replicate, cfg.model(), cfg.lss_config()),
                          cfg.replicate_seeds(), cfg.threads)
 
 

@@ -32,6 +32,7 @@ where an intermediate over- or underflows (near z = 0).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable
 
@@ -80,14 +81,15 @@ class MPModel:
 class SpectralFunction:
     """Test function f acting on spectra, with smoothness metadata.
 
-    ``analytic`` enables the contour method; ``positive_domain`` marks
-    functions only defined on (0, inf) (log), enforced for real arguments.
+    ``analytic`` (by default True, but False for a callable) enables the contour
+    method; ``positive_domain`` marks functions only defined on (0, inf)
+    (log), enforced for real arguments.
     """
 
     kind: str
     coefficients: tuple | None = None
     fn: Callable | None = None
-    analytic: bool = True
+    analytic: bool | None = None
     positive_domain: bool = False
     label: str = ""
 
@@ -103,6 +105,8 @@ class SpectralFunction:
                 check_real(a, "polynomial coefficient") for a in self.coefficients))
         if self.kind == "callable" and not callable(self.fn):
             raise InvalidArgumentError("callable kind needs fn")
+        if self.analytic is None:
+            object.__setattr__(self, "analytic", self.kind != "callable")
         if not self.label:
             object.__setattr__(self, "label", self.kind)
         try:
@@ -459,7 +463,15 @@ def _action_contour(model, f, which, a1, a2) -> float:
     return float(value.real)
 
 
-_ACTION_CACHE: dict = {}
+# f may be any callable, so the keys are not a finite set: the cache keeps a
+# bound, well above the 12 keys of a validate run
+@functools.lru_cache(maxsize=128)
+def _action(which: str, model: MPModel, f: SpectralFunction, method: str) -> float:
+    """The one cache of integrals over the support: the action of f by
+    ``method`` on the distribution behind ``which`` (t for the MP law)."""
+    if method == "inversion":
+        return _action_inversion(model, f, which)
+    return _action_contour(model, f, which, *_action_interval(model, f))
 
 
 def mp_integral(model: MPModel, f: SpectralFunction) -> float:
@@ -467,11 +479,7 @@ def mp_integral(model: MPModel, f: SpectralFunction) -> float:
     inversion action of t, by the rule and check of distribution_action, and
     cached with the actions under the private name 't'. A callable f must
     accept numpy arrays."""
-    f = spectral_function(f)
-    key = ("t", model.c, f, "inversion")
-    if key not in _ACTION_CACHE:
-        _ACTION_CACHE[key] = _action_inversion(model, f, "t")
-    return _ACTION_CACHE[key]
+    return _action("t", model, spectral_function(f), "inversion")
 
 
 def distribution_action(transform: str, model: MPModel, f: SpectralFunction, method: str = "auto") -> float:
@@ -497,13 +505,7 @@ def distribution_action(transform: str, model: MPModel, f: SpectralFunction, met
         raise InvalidArgumentError(f"method must be 'inversion', 'contour' or 'auto', got {method!r}")
     if method == "contour" and not f.analytic:
         raise InvalidArgumentError("the contour method requires an analytic f")
-    a1, a2 = _action_interval(model, f)
+    a1 = _action_interval(model, f)[0]
     if f.positive_domain and a1 <= 0.0:
         raise DomainError(f"{f.label} action needs a positive interval, got a1 = {a1}", value=a1)
-    key = (transform, model.c, f, method)
-    if key not in _ACTION_CACHE:
-        if method == "inversion":
-            _ACTION_CACHE[key] = _action_inversion(model, f, transform)
-        else:
-            _ACTION_CACHE[key] = _action_contour(model, f, transform, a1, a2)
-    return _ACTION_CACHE[key]
+    return _action(transform, model, f, method)

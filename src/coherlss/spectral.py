@@ -92,12 +92,12 @@ def _block_width(B: int) -> int:
     return max(1, (B + 1) // 8)
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.cache
 def _window_cut(k: int, B: int, n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     """The cut of the on-grid window at column k (0 <= k < n): the starts of
     its block Grams, the table columns of its signed product and their
     weights, both read-only. It depends on (k, B, n) alone, so one cache
-    serves every panel of a configuration."""
+    serves every panel of a configuration and holds all its n windows."""
     width = _block_width(B)
     scale = 1.0 / (B + 1)
     a = (k - B // 2) % n
@@ -199,7 +199,7 @@ def _walk(panel: TimeSeriesPanel, B: int, nus):
         # finite diagonal bounds every entry (|S_ij|^2 <= S_ii S_jj)
         if not np.isfinite(s.diagonal()).all():
             raise NumericalFailureError(
-                f"non-finite smoothed periodogram at nu={nus[i]}; the panel data holds NaN or inf"
+                f"non-finite smoothed periodogram at nu={nus[i]}; the DFT or S overflowed"
             )
         yield i, s
 

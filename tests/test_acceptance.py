@@ -54,7 +54,7 @@ def _desk_sweep():
 
 
 def _clear_action_caches():
-    _rmt_mod._ACTION_CACHE.clear()
+    _rmt_mod._action.cache_clear()
 
 
 def test_criterion_1_phi_golden(acceptance):

@@ -504,6 +504,19 @@ def test_histogram_outputs(tmp_path):
     assert set(payload["summary"]["quantiles"]) == {"sup_raw", "sup_psi", "sup_psi_hat"}
 
 
+def test_histogram_with_cold_caches_is_thread_invariant(tmp_path):
+    # no warm-up fills the caches before the workers start: concurrent
+    # misses compute the same phi and MP integral, and the same cuts
+    written = []
+    for threads in (1, 2):
+        coherlss.rmt._action.cache_clear()
+        coherlss.spectral._window_cut.cache_clear()
+        out = tmp_path / f"threads{threads}"
+        write_histogram_outputs(histogram_study(_quick_cfg(replicates=4, threads=threads)), out)
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert written[0] == written[1]
+
+
 # --- argument checks ----------------------------------------------------------
 
 

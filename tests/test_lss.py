@@ -807,3 +807,16 @@ def test_identity_polynomial_statistic_is_zero(window):
     panel, B, nu = window
     cfg = _config(panel, B, SpectralFunction.polynomial([0.0, 1.0]))
     assert abs(psi_at(panel, cfg, nu).lss_raw) <= 1e-10
+
+
+def test_dense_grid_walk_reuses_every_window_cut():
+    # a stride-1 grid at N = 2048 has 2048 windows; the cut cache holds them
+    # all, so a repeat sweep, on this panel or another, computes none again
+    from coherlss.spectral import _window_cut
+
+    N, B, M = 2048, 256, 4
+    cfg = LssConfig(N=N, B=B, M=M, grid=default_grid(N, 1))
+    sweep_panel(simulate_panel(ModelSpec.ar1(0.4), M, N, seed=1), cfg)
+    misses = _window_cut.cache_info().misses
+    sweep_panel(simulate_panel(ModelSpec.ar1(0.4), M, N, seed=2), cfg)
+    assert _window_cut.cache_info().misses == misses

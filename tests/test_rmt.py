@@ -264,9 +264,12 @@ def _sine(k):
     return SpectralFunction.from_callable(lambda x: np.sin(k * np.asarray(x)), label=f"sin({k}x)")
 
 
+def _bump_fn(w):
+    return lambda x: np.exp(-((np.asarray(x) - 1.2) / w) ** 2) / w
+
+
 def _bump(w):
-    return SpectralFunction.from_callable(lambda x: np.exp(-((np.asarray(x) - 1.2) / w) ** 2) / w,
-                                          label=f"bump({w})")
+    return SpectralFunction.from_callable(_bump_fn(w), label=f"bump({w})")
 
 
 @pytest.mark.parametrize("w", [0.03, 0.01, 0.002, 1e-4, 3e-5])
@@ -286,6 +289,28 @@ def test_mp_integral_resolves_a_narrow_bump(w):
                                  model.lambda_minus, model.lambda_plus, points=[1.2], limit=200)
     assert abs(mp_integral(model, _bump(w)) - expected) <= 1e-12
     assert abs(coherlss.lss.mp_integral_value(0.5, _bump(w)) - expected) <= 1e-12
+    # a callable built directly is non-analytic too, so it takes the dense
+    # first pass; one interval would step over the bump
+    direct = SpectralFunction(kind="callable", fn=_bump_fn(w))
+    assert not direct.analytic
+    assert abs(mp_integral(model, direct) - expected) <= 1e-12
+
+
+def test_action_cache_stays_bounded_under_new_equal_callables():
+    # each new lambda is a new key with the value of the last one; the
+    # cache keeps at most its bound of them
+    model = MPModel(0.5)
+
+    def square():
+        return SpectralFunction.from_callable(lambda x: (np.asarray(x) - 1.0) ** 2, analytic=True)
+
+    phi = distribution_action("p", model, square())
+    mp = coherlss.lss.mp_integral_value(0.5, square())
+    for _ in range(300):
+        assert distribution_action("p", model, square()) == phi
+        assert coherlss.lss.mp_integral_value(0.5, square()) == mp
+    info = rmt._action.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("name", ["square_centered", "log"])
@@ -305,7 +330,7 @@ def test_first_pass_leaves_no_wide_gap(c, name, monkeypatch):
         return fn
 
     monkeypatch.setattr(rmt, "_boundary_integrand", recording)
-    monkeypatch.setattr(rmt, "_ACTION_CACHE", {})
+    rmt._action.cache_clear()
     f = SpectralFunction.from_callable(spectral_function(name), positive_domain=name == "log",
                                        label=name)
     distribution_action("p", MPModel(c), f, method="inversion")

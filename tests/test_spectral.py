@@ -11,6 +11,7 @@ from coherlss import (
     DegenerateSpectrumError,
     InvalidArgumentError,
     ModelSpec,
+    NumericalFailureError,
     SpectralMatrix,
     TimeSeriesPanel,
     coherency_matrix,
@@ -435,6 +436,15 @@ def test_validated_arrays_are_read_only():
     C = coherency_matrix(smoothed_periodogram(panel, 0.25, 48))
     with pytest.raises(ValueError, match="read-only"):
         C.values[0, 1] = 2.0
+
+
+def test_overflow_in_the_walk_is_named():
+    # a panel is finite by construction, so a non-finite S means that its
+    # DFT or S overflowed; numpy's own overflow warnings escape the walk
+    panel = TimeSeriesPanel(np.full((4, 64), 1e307 + 0j), ModelSpec(), 0)
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(NumericalFailureError, match="DFT or S overflowed"):
+        smoothed_periodogram(panel, 0.0, 8)
 
 
 def test_ar1_periodogram_has_its_exact_moments():
